@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
+#include <tuple>
 
 #include "partition/matching.hh"
 #include "support/logging.hh"
@@ -81,6 +81,31 @@ mergeFits(const Usage &a, const Usage &b, const MachineConfig &mach,
     return true;
 }
 
+/**
+ * Sort @p edges by (a, b) and fold parallel edges into one by summing
+ * their weights. Every key is then unique, so greedyMatching's
+ * (weight desc, a, b) order is total and the matching does not depend
+ * on the order the edges were produced in.
+ */
+void
+foldParallelEdges(std::vector<MatchEdge> &edges)
+{
+    std::sort(edges.begin(), edges.end(),
+              [](const MatchEdge &x, const MatchEdge &y) {
+                  return std::tie(x.a, x.b) < std::tie(y.a, y.b);
+              });
+    std::size_t kept = 0;
+    for (const MatchEdge &e : edges) {
+        if (kept > 0 && edges[kept - 1].a == e.a &&
+            edges[kept - 1].b == e.b) {
+            edges[kept - 1].weight += e.weight;
+        } else {
+            edges[kept++] = e;
+        }
+    }
+    edges.resize(kept);
+}
+
 } // namespace
 
 CoarseningHierarchy
@@ -91,16 +116,16 @@ coarsen(const Ddg &ddg, const MachineConfig &mach, int ii,
     const int clusters = mach.numClusters();
     const int slots = ddg.numNodeSlots();
 
-    // Level 0: live nodes get dense vertex ids.
+    // Level 0: live nodes get dense vertex ids. `vertex_of` then
+    // tracks each original node's vertex at the current level.
     std::vector<int> vertex_of(slots, -1);
     int num_vertices = 0;
     for (NodeId n : ddg.nodes())
         vertex_of[n] = num_vertices++;
     hier.addLevel(vertex_of, num_vertices);
 
-    // Per-vertex resource usage and size.
+    // Per-vertex resource usage.
     std::vector<Usage> usage(num_vertices, Usage{});
-    std::vector<int> size(num_vertices, 1);
     for (NodeId n : ddg.nodes()) {
         const OpClass cls = ddg.node(n).cls;
         if (cls != OpClass::Copy) {
@@ -109,8 +134,9 @@ coarsen(const Ddg &ddg, const MachineConfig &mach, int ii,
         }
     }
 
-    // Accumulated edge weights between coarse vertices.
-    std::map<std::pair<int, int>, long long> weights;
+    // Accumulated edge weights between coarse vertices: one edge per
+    // (a < b) pair, kept sorted by (a, b).
+    std::vector<MatchEdge> weights;
     for (EdgeId eid : ddg.edges()) {
         const DdgEdge &e = ddg.edge(eid);
         const long long w =
@@ -123,19 +149,15 @@ coarsen(const Ddg &ddg, const MachineConfig &mach, int ii,
             continue;
         if (a > b)
             std::swap(a, b);
-        weights[{a, b}] += w;
+        weights.push_back({a, b, w});
     }
+    foldParallelEdges(weights);
 
     while (num_vertices > clusters) {
-        std::vector<MatchEdge> cand;
-        cand.reserve(weights.size());
-        for (const auto &[key, w] : weights)
-            cand.push_back({key.first, key.second, w});
-
         auto feasible = [&](int a, int b) {
             return mergeFits(usage[a], usage[b], mach, ii);
         };
-        auto pairs = greedyMatching(num_vertices, cand, feasible);
+        auto pairs = greedyMatching(num_vertices, weights, feasible);
 
         // Never contract past the target count.
         const std::size_t limit =
@@ -164,38 +186,34 @@ coarsen(const Ddg &ddg, const MachineConfig &mach, int ii,
                 new_id[v] = next++;
         }
 
-        // Rebuild usage/size.
+        // Rebuild usage.
         std::vector<Usage> nusage(next, Usage{});
-        std::vector<int> nsize(next, 0);
         for (int v = 0; v < num_vertices; ++v) {
             for (std::size_t k = 0; k < numKinds; ++k)
                 nusage[new_id[v]][k] += usage[v][k];
-            nsize[new_id[v]] += size[v];
         }
         usage = std::move(nusage);
-        size = std::move(nsize);
 
-        // Rebuild edge weights.
-        std::map<std::pair<int, int>, long long> nweights;
-        for (const auto &[key, w] : weights) {
-            int a = new_id[key.first], b = new_id[key.second];
+        // Renumber the edges in place, dropping contracted ones.
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < weights.size(); ++i) {
+            int a = new_id[weights[i].a], b = new_id[weights[i].b];
             if (a == b)
                 continue;
             if (a > b)
                 std::swap(a, b);
-            nweights[{a, b}] += w;
+            weights[kept++] = {a, b, weights[i].weight};
         }
-        weights = std::move(nweights);
+        weights.resize(kept);
+        foldParallelEdges(weights);
 
         // Record the level as original-node -> group.
-        std::vector<int> level_map(slots, -1);
-        for (NodeId n = 0; n < slots; ++n) {
-            const int prev = hier.groupOf(n, hier.numLevels() - 1);
-            if (prev >= 0)
-                level_map[n] = new_id[prev];
+        for (int &v : vertex_of) {
+            if (v >= 0)
+                v = new_id[v];
         }
         num_vertices = next;
-        hier.addLevel(std::move(level_map), num_vertices);
+        hier.addLevel(vertex_of, num_vertices);
     }
 
     return hier;

@@ -22,9 +22,15 @@ refinePartition(const Ddg &ddg, const MachineConfig &mach,
     PseudoResult best = s.bind(ddg, mach, part.vec(), ii);
 
     const auto live = ddg.nodes();
+    // Visit index of the previous pass's last commit (see refine.hh).
+    int prev_last_commit = -1;
     for (int pass = 0; pass < max_passes; ++pass) {
-        bool improved = false;
+        int last_commit = -1;
+        int idx = -1;
         for (NodeId n : live) {
+            ++idx;
+            if (pass > 0 && last_commit < 0 && idx > prev_last_commit)
+                break;
             if (ddg.node(n).cls == OpClass::Copy)
                 continue;
             const int home = s.assignment()[n];
@@ -40,11 +46,12 @@ refinePartition(const Ddg &ddg, const MachineConfig &mach,
             }
             if (best_cluster != home) {
                 s.commitMove(n, best_cluster);
-                improved = true;
+                last_commit = idx;
             }
         }
-        if (!improved)
+        if (last_commit < 0)
             break;
+        prev_last_commit = last_commit;
     }
 
     for (NodeId n : live)

@@ -24,6 +24,14 @@ namespace cvliw
  * invariants); the result is identical to probing every candidate
  * with a from-scratch pseudoSchedule.
  *
+ * Converged-tail stop: a pass ends the climb as soon as it has
+ * visited the node of the previous pass's last commit without
+ * committing anything itself. The nodes after that one were already
+ * probed against the same assignment and the same best result, and
+ * all were rejected; re-probing them could only repeat that verdict.
+ * So the result, the commits and the @p max_passes bound are those
+ * of running every pass in full, with fewer probes.
+ *
  * @param ddg loop body (no copies)
  * @param mach target machine
  * @param initial starting assignment

@@ -390,11 +390,6 @@ PseudoScratch::evalAgainst(const PseudoResult &best, PseudoResult &out)
     if (r.iiPart > best.iiPart)
         return false;
     const bool accept_on_ii = r.iiPart < best.iiPart;
-    const int best_deficit = best.overflow + best.regOverflow;
-    // regOverflow >= 0, so the resource overflow alone can already
-    // sink the deficit comparison.
-    if (!accept_on_ii && r.overflow > best_deficit)
-        return false;
 
     const auto &order = cache_.topo(ddg);
     bool have_est = false;
@@ -404,6 +399,33 @@ PseudoScratch::evalAgainst(const PseudoResult &best, PseudoResult &out)
             have_est = true;
         }
     };
+    bool have_length = false;
+    auto ensure_length = [&] {
+        if (!have_length) {
+            ensure_est();
+            r.length = lengthFromAsap(ddg, mach, order, est_);
+            have_length = true;
+        }
+    };
+    // The tail of `better` at equal iiPart, for a given deficit; the
+    // length is only needed when the deficit and comms tie.
+    const int best_deficit = best.overflow + best.regOverflow;
+    auto wins_at = [&](int deficit) {
+        if (deficit != best_deficit)
+            return deficit < best_deficit;
+        if (r.comms != best.comms)
+            return r.comms < best.comms;
+        ensure_length();
+        if (r.length != best.length)
+            return r.length < best.length;
+        return r.imbalance < best.imbalance;
+    };
+
+    // regOverflow >= 0 and a larger deficit only loses, so a move
+    // that loses with the register deficit taken as 0 loses at every
+    // register width: reject it without the sweep.
+    if (!accept_on_ii && !wins_at(r.overflow))
+        return false;
 
     if (widthCanOverflow_) {
         ensure_est();
@@ -413,34 +435,13 @@ PseudoScratch::evalAgainst(const PseudoResult &best, PseudoResult &out)
             r.regOverflow +=
                 std::max(0, width_[c] - mach.regsPerCluster());
         }
-    }
-
-    bool have_length = false;
-    if (!accept_on_ii) {
-        const int deficit = r.overflow + r.regOverflow;
-        if (deficit > best_deficit)
+        if (!accept_on_ii && r.regOverflow > 0 &&
+            !wins_at(r.overflow + r.regOverflow)) {
             return false;
-        if (deficit == best_deficit) {
-            if (r.comms > best.comms)
-                return false;
-            if (r.comms == best.comms) {
-                ensure_est();
-                r.length = lengthFromAsap(ddg, mach, order, est_);
-                have_length = true;
-                if (r.length > best.length)
-                    return false;
-                if (r.length == best.length &&
-                    r.imbalance >= best.imbalance) {
-                    return false;
-                }
-            }
         }
     }
 
-    if (!have_length) {
-        ensure_est();
-        r.length = lengthFromAsap(ddg, mach, order, est_);
-    }
+    ensure_length();
     out = r;
     return true;
 }

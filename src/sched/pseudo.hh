@@ -33,12 +33,20 @@
  *    the incremental communication count always equals
  *    `findCommunications().count()`.
  * 2. The expensive O(V+E) parts (the ASAP length estimate and the
- *    register-width sweep) run only when the cheap lexicographic
- *    prefix of `PseudoResult::better` - partition-induced II, then
- *    the resource-overflow lower bound of the deficit - does not
- *    already decide the comparison, and the register sweep is also
- *    skipped when an assignment-independent upper bound proves no
- *    cluster can exceed its register file.
+ *    register-width sweep) run only where they can change the
+ *    verdict. A probe is decided in this order:
+ *     - the partition-induced II: a larger one rejects, a smaller
+ *       one accepts (the result is still completed exactly);
+ *     - at equal II, the rest of `PseudoResult::better` with the
+ *       register deficit taken as 0. `regOverflow >= 0` and a larger
+ *       deficit only loses, so a move that loses here loses at every
+ *       register width and is rejected without the sweep. The ASAP
+ *       length is computed only when deficit and comms tie;
+ *     - the register sweep, for moves that survived (or won on II).
+ *       The comparison is re-decided only when it reports
+ *       `regOverflow > 0`.
+ *    The sweep is skipped altogether when an assignment-independent
+ *    upper bound proves no cluster can exceed its register file.
  * 3. `probeMove()` leaves the scratch state exactly as it found it;
  *    only `commitMove()` (and `bind()`) change the bound assignment.
  */
@@ -136,9 +144,10 @@ class PseudoScratch
     void applyMove(NodeId n, int to);
 
     /**
-     * Evaluate the currently-applied assignment against @p best,
-     * skipping the expensive kernels whenever the comparison is
-     * already decided. On true, @p out is the complete result.
+     * Evaluate the currently-applied assignment against @p best in
+     * the decision order of invariant 2, skipping the expensive
+     * kernels whenever the comparison is already decided. On true,
+     * @p out is the complete result.
      */
     bool evalAgainst(const PseudoResult &best, PseudoResult &out);
 

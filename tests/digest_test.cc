@@ -67,6 +67,30 @@ TEST(SuiteDigest, SubsetDigestsPinned)
     EXPECT_EQ(all.h, expected_combined);
 }
 
+TEST(SuiteDigest, RegisterStarvedSubsetDigestsPinned)
+{
+    // The 64-register configs never see the pseudo-scheduler report a
+    // register-width deficit, so the reference pins cannot tell
+    // whether refinement still decides exactly where the register
+    // sweep matters. These configs overflow the register file on many
+    // probes; their digests were pinned before the refinement hot
+    // path was made lazy and must not move with it.
+    const auto subset = subsetSuite();
+    ASSERT_EQ(subset.size(), 43u);
+
+    const char *const configs[] = {"4c2b2l32r", "2c1b2l16r"};
+    const std::uint64_t expected[] = {0xd96d7e44dfff257eull,
+                                      0x7c6b5b72adab038cull};
+
+    for (std::size_t c = 0; c < 2; ++c) {
+        const auto m = MachineConfig::fromString(configs[c]);
+        const std::uint64_t h = digestSuiteResult(
+            CompileService::shared().compileSuite(subset, m));
+        EXPECT_EQ(h, expected[c])
+            << "config " << configs[c] << ": 0x" << std::hex << h;
+    }
+}
+
 TEST(SuiteDigest, SubsetDigestsPinnedWithResultCache)
 {
     // The acceptance bar for the result cache: the pinned digests are

@@ -5,7 +5,9 @@
  *  - the delta move evaluation (PseudoScratch::probeMove) and the
  *    incremental communication count stay bit-identical to the
  *    from-scratch pseudoSchedule / findCommunications oracles over
- *    random move sequences on generated loops,
+ *    random move sequences on generated loops, including a
+ *    register-starved config where the register sweep decides
+ *    probes,
  *  - CommInfo::update patches exactly to what a full rescan computes,
  *  - AnalysisCache / SchedulerCache never reuse results across
  *    machine configs (the generation-only-key regression).
@@ -48,68 +50,106 @@ expectSameComms(const CommInfo &a, const CommInfo &b, const char *what)
     EXPECT_EQ(a.communicated, b.communicated) << what;
 }
 
+/** Probes whose oracle result has a register-width deficit. */
+struct RegisterDeficitProbes
+{
+    int accepted = 0;
+    int rejected = 0;
+    /** Rejected, but would win with the deficit taken as 0. */
+    int rejectedBySweep = 0;
+};
+
+/**
+ * Walk 80 random single-node moves of @p loop on @p m from a random
+ * assignment, checking every probe against the from-scratch oracle.
+ */
+void
+checkRandomMoves(const Loop &loop, const MachineConfig &m, Rng &rng,
+                 RegisterDeficitProbes &reg)
+{
+    const auto nodes = loop.ddg.nodes().toVector();
+    const int ii = minimumIi(loop.ddg, m);
+
+    std::vector<int> assign(loop.ddg.numNodeSlots(), 0);
+    for (NodeId n : nodes) {
+        assign[n] =
+            static_cast<int>(rng.uniformInt(0, m.numClusters() - 1));
+    }
+
+    PseudoScratch inc, oracle;
+    PseudoResult best = inc.bind(loop.ddg, m, assign, ii);
+    expectSameResult(best,
+                     pseudoSchedule(loop.ddg, m, assign, ii, oracle),
+                     loop.name().c_str());
+
+    for (int step = 0; step < 80; ++step) {
+        const NodeId n = nodes[static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<int>(nodes.size()) - 1))];
+        if (loop.ddg.node(n).cls == OpClass::Copy)
+            continue;
+        const int c =
+            static_cast<int>(rng.uniformInt(0, m.numClusters() - 1));
+        if (c == inc.assignment()[n])
+            continue;
+
+        std::vector<int> moved = inc.assignment();
+        moved[n] = c;
+        const PseudoResult full =
+            pseudoSchedule(loop.ddg, m, moved, ii, oracle);
+
+        PseudoResult out;
+        const bool accepted = inc.probeMove(n, c, best, out);
+        ASSERT_EQ(accepted, full.better(best))
+            << loop.name() << " step " << step;
+        if (full.regOverflow > 0) {
+            PseudoResult width0 = full;
+            width0.regOverflow = 0;
+            ++(accepted ? reg.accepted : reg.rejected);
+            if (!accepted && width0.better(best))
+                ++reg.rejectedBySweep;
+        }
+        if (accepted) {
+            expectSameResult(out, full, loop.name().c_str());
+            best = out;
+            inc.commitMove(n, c);
+        } else if (step % 5 == 0) {
+            // Also walk through non-improving states so the
+            // sequence is not a pure hill-climb.
+            inc.commitMove(n, c);
+            best = full;
+        }
+
+        ASSERT_EQ(inc.commCount(),
+                  findCommunications(loop.ddg, inc.assignment()).count())
+            << loop.name() << " step " << step;
+    }
+}
+
 TEST(Incremental, DeltaPseudoMatchesOracleOnRandomMoves)
 {
     const auto &profiles = specFp95Profiles();
     Rng rng(2026);
+    RegisterDeficitProbes reg;
     for (std::size_t pi = 0; pi < profiles.size(); pi += 3) {
         const Loop loop = generateLoop(profiles[pi], rng, 0);
-        const auto nodes = loop.ddg.nodes().toVector();
-        for (const char *cfg : {"2c1b2l64r", "4c2b4l64r"}) {
-            const auto m = MachineConfig::fromString(cfg);
-            const int ii = minimumIi(loop.ddg, m);
+        for (const char *cfg : {"2c1b2l64r", "4c2b4l64r"})
+            checkRandomMoves(loop, MachineConfig::fromString(cfg), rng,
+                             reg);
+    }
 
-            std::vector<int> assign(loop.ddg.numNodeSlots(), 0);
-            for (NodeId n : nodes) {
-                assign[n] = static_cast<int>(
-                    rng.uniformInt(0, m.numClusters() - 1));
-            }
-
-            PseudoScratch inc, oracle;
-            PseudoResult best = inc.bind(loop.ddg, m, assign, ii);
-            expectSameResult(
-                best, pseudoSchedule(loop.ddg, m, assign, ii, oracle),
-                loop.name().c_str());
-
-            for (int step = 0; step < 80; ++step) {
-                const NodeId n = nodes[static_cast<std::size_t>(
-                    rng.uniformInt(0, static_cast<int>(nodes.size()) -
-                                          1))];
-                if (loop.ddg.node(n).cls == OpClass::Copy)
-                    continue;
-                const int c = static_cast<int>(
-                    rng.uniformInt(0, m.numClusters() - 1));
-                if (c == inc.assignment()[n])
-                    continue;
-
-                std::vector<int> moved = inc.assignment();
-                moved[n] = c;
-                const PseudoResult full =
-                    pseudoSchedule(loop.ddg, m, moved, ii, oracle);
-
-                PseudoResult out;
-                const bool accepted = inc.probeMove(n, c, best, out);
-                ASSERT_EQ(accepted, full.better(best))
-                    << loop.name() << " step " << step;
-                if (accepted) {
-                    expectSameResult(out, full, loop.name().c_str());
-                    best = out;
-                    inc.commitMove(n, c);
-                } else if (step % 5 == 0) {
-                    // Also walk through non-improving states so the
-                    // sequence is not a pure hill-climb.
-                    inc.commitMove(n, c);
-                    best = full;
-                }
-
-                ASSERT_EQ(
-                    inc.commCount(),
-                    findCommunications(loop.ddg, inc.assignment())
-                        .count())
-                    << loop.name() << " step " << step;
-            }
+    // A register-starved config, on every profile: the probes the
+    // register sweep decides must be exercised, accepted and
+    // rejected, so that branch cannot go silently dead.
+    const auto starved = MachineConfig::fromString("2c1b2l16r");
+    for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
+        for (int index = 0; index < 3; ++index) {
+            checkRandomMoves(generateLoop(profiles[pi], rng, index),
+                             starved, rng, reg);
         }
     }
+    EXPECT_GT(reg.accepted, 0);
+    EXPECT_GT(reg.rejected, 0);
+    EXPECT_GT(reg.rejectedBySweep, 0);
 }
 
 TEST(Incremental, CommInfoUpdateMatchesRescanOnRandomMoves)

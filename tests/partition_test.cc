@@ -1,7 +1,8 @@
 /**
  * @file
  * Partitioner tests: assignment container, edge weighting, greedy
- * matching, coarsening hierarchy and the multilevel driver.
+ * matching, coarsening hierarchy, the multilevel driver and the
+ * refinement hill-climb (checked against a full-pass reference).
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,9 @@
 #include "sched/comms.hh"
 #include "sched/mii.hh"
 #include "sched/pseudo.hh"
+#include "support/rng.hh"
+#include "workloads/generator.hh"
+#include "workloads/profiles.hh"
 #include "workloads/suite.hh"
 
 namespace cvliw
@@ -193,6 +197,44 @@ TEST(Coarsen, MembersOfGroup)
     EXPECT_EQ(members.size(), 1u);
 }
 
+TEST(Coarsen, FoldedParallelEdgesDecideTheNextLevel)
+{
+    // Three heavy pairs contract at level 1. Between the macros, AB
+    // and CD are joined by two light edges (a-c, b-d) that fold into
+    // one of weight 20, and AB and EF by a single edge of weight 15.
+    // The one level-2 contraction must take the folded edge; either
+    // light edge alone would lose to a-e.
+    DdgBuilder b;
+    for (const char *n : {"a", "b", "c", "d", "e", "f"})
+        b.op(n, OpClass::IntAlu);
+    std::vector<long long> w;
+    auto edge = [&](const char *src, const char *dst, long long weight) {
+        const EdgeId e = b.flow(src, dst);
+        if (w.size() <= static_cast<std::size_t>(e))
+            w.resize(static_cast<std::size_t>(e) + 1, 0);
+        w[e] = weight;
+    };
+    edge("a", "b", 100);
+    edge("c", "d", 100);
+    edge("e", "f", 100);
+    edge("a", "c", 10);
+    edge("b", "d", 10);
+    edge("a", "e", 15);
+    const Ddg g = b.take();
+    const auto m = MachineConfig::fromString("2c1b2l64r");
+    const auto hier = coarsen(g, m, 8, w);
+
+    ASSERT_EQ(hier.numLevels(), 3);
+    EXPECT_EQ(hier.numGroups(1), 3);
+    EXPECT_EQ(hier.numGroups(2), 2);
+    auto group = [&](const char *n) { return hier.groupOf(b.id(n), 2); };
+    EXPECT_EQ(group("a"), group("c"));
+    EXPECT_EQ(group("b"), group("d"));
+    EXPECT_EQ(group("a"), group("b"));
+    EXPECT_EQ(group("e"), group("f"));
+    EXPECT_NE(group("a"), group("e"));
+}
+
 TEST(Multilevel, UnifiedPutsEverythingInClusterZero)
 {
     DdgBuilder b;
@@ -257,6 +299,97 @@ TEST(Refine, NeverWorsensTheMetric)
             pseudoSchedule(g, m, refined.vec(), ii, scratch);
         EXPECT_FALSE(before.better(after));
     }
+}
+
+/** Outcome of a refinement, with its probe and commit counts. */
+struct RefineRun
+{
+    std::vector<int> assign;
+    std::uint64_t probes = 0;
+    std::uint64_t commits = 0;
+};
+
+/**
+ * Reference hill-climb: every pass probes every node until a full
+ * pass commits nothing (no converged-tail stop), at most
+ * @p max_passes passes.
+ */
+RefineRun
+referenceRefine(const Ddg &ddg, const MachineConfig &mach,
+                const std::vector<int> &initial, int ii,
+                int max_passes = 4)
+{
+    PseudoScratch s;
+    PseudoResult best = s.bind(ddg, mach, initial, ii);
+    for (int pass = 0; pass < max_passes; ++pass) {
+        bool improved = false;
+        for (NodeId n : ddg.nodes()) {
+            if (ddg.node(n).cls == OpClass::Copy)
+                continue;
+            const int home = s.assignment()[n];
+            int best_cluster = home;
+            for (int c = 0; c < mach.numClusters(); ++c) {
+                if (c == home || c == best_cluster)
+                    continue;
+                PseudoResult r;
+                if (s.probeMove(n, c, best, r)) {
+                    best = r;
+                    best_cluster = c;
+                }
+            }
+            if (best_cluster != home) {
+                s.commitMove(n, best_cluster);
+                improved = true;
+            }
+        }
+        if (!improved)
+            break;
+    }
+    return {s.assignment(), s.probeCount(), s.commitCount()};
+}
+
+TEST(Refine, MatchesFullPassReference)
+{
+    const auto &profiles = specFp95Profiles();
+    Rng rng(4242);
+    std::uint64_t ref_probes = 0, probes = 0, committing = 0;
+    for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
+        for (int index = 0; index < 2; ++index) {
+            const Loop loop = generateLoop(profiles[pi], rng, index);
+            const Ddg &g = loop.ddg;
+            for (const char *cfg : {"2c1b2l64r", "4c2b2l64r"}) {
+                const auto m = MachineConfig::fromString(cfg);
+                const int mii = minimumIi(g, m);
+                Partition start(m.numClusters(), g.numNodeSlots());
+                for (NodeId n : g.nodes()) {
+                    start.assign(n, static_cast<int>(rng.uniformInt(
+                                        0, m.numClusters() - 1)));
+                }
+                for (int ii : {mii, mii + 1}) {
+                    const RefineRun ref =
+                        referenceRefine(g, m, start.vec(), ii);
+                    PseudoScratch scratch;
+                    const Partition got =
+                        refinePartition(g, m, start, ii, &scratch);
+                    for (NodeId n : g.nodes()) {
+                        ASSERT_EQ(got.clusterOf(n), ref.assign[n])
+                            << loop.name() << " on " << cfg << " at II "
+                            << ii << ", node " << n;
+                    }
+                    EXPECT_EQ(scratch.commitCount(), ref.commits)
+                        << loop.name() << " on " << cfg;
+                    EXPECT_LE(scratch.probeCount(), ref.probes)
+                        << loop.name() << " on " << cfg;
+                    ref_probes += ref.probes;
+                    probes += scratch.probeCount();
+                    committing += ref.commits > 0;
+                }
+            }
+        }
+    }
+    // The walk covered climbs that commit, and the stop saved probes.
+    EXPECT_GT(committing, 0u);
+    EXPECT_LT(probes, ref_probes);
 }
 
 TEST(Refine, SplitsOverloadedCluster)

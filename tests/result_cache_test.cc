@@ -453,12 +453,14 @@ TEST(ResultCacheDedup, FollowersInheritTheLeadersFailure)
     std::condition_variable gate_cv;
     bool release = false;
 
+    std::atomic<bool> leading{false};
     std::atomic<int> deadline_count{0};
     std::atomic<int> other_count{0};
     std::vector<std::thread> pool;
     pool.emplace_back([&] { // leader
         try {
             cache.getOrCompute(key, [&]() -> CompileResult {
+                leading.store(true);
                 std::unique_lock<std::mutex> lock(gate_lock);
                 gate_cv.wait(lock, [&] { return release; });
                 throw DeadlineExceeded("leader ran out of budget");
@@ -467,6 +469,11 @@ TEST(ResultCacheDedup, FollowersInheritTheLeadersFailure)
             deadline_count.fetch_add(1);
         }
     });
+    // Start the followers only once the leader owns the key: a
+    // follower that got there first would lead itself, and the wait
+    // for kFollowers joins below would never end.
+    while (!leading.load())
+        std::this_thread::yield();
     for (int t = 0; t < kFollowers; ++t) {
         pool.emplace_back([&] {
             try {
