@@ -17,6 +17,15 @@
 # recorded on comparable hardware; CI re-baselines first for that
 # reason.
 #
+# Each benchmark's user counters are kept in the file next to its
+# time. Some counters are pinned to an exact value because they are
+# behaviour, not speed: the urgent batch overtakes the background one
+# (BM_FrontierMixedTenants overtake == 1), the background tenant is
+# never starved (BM_FrontierStarvation starved == 0), and a storm of
+# identical jobs compiles once (BM_DedupStorm compiles_per_batch ==
+# 1). --gate also fails when a pinned counter is violated or missing,
+# whatever the timing ratio.
+#
 # Usage: scripts/bench.sh [--rebaseline] [--min-time SECONDS]
 #                         [--gate RATIO]
 
@@ -61,10 +70,35 @@ raw_path, out_path, rebaseline = sys.argv[1], sys.argv[2], sys.argv[3] == "1"
 gate = float(sys.argv[4]) if sys.argv[4] else None
 raw = json.load(open(raw_path))
 
-current = {
-    b["name"]: {"real_time": b["real_time"], "time_unit": b["time_unit"]}
-    for b in raw["benchmarks"]
-    if b.get("run_type", "iteration") == "iteration"
+# Everything google-benchmark itself reports; any other numeric field
+# of an entry is a user counter.
+STANDARD_FIELDS = {
+    "name", "family_index", "per_family_instance_index", "run_name",
+    "run_type", "repetitions", "repetition_index", "threads",
+    "iterations", "real_time", "cpu_time", "time_unit", "label",
+    "error_occurred", "error_message", "aggregate_name",
+    "aggregate_unit",
+}
+
+current = {}
+for b in raw["benchmarks"]:
+    if b.get("run_type", "iteration") != "iteration":
+        continue
+    entry = {"real_time": b["real_time"], "time_unit": b["time_unit"]}
+    counters = {
+        k: v for k, v in b.items()
+        if k not in STANDARD_FIELDS and isinstance(v, (int, float))
+        and not isinstance(v, bool)
+    }
+    if counters:
+        entry["counters"] = counters
+    current[b["name"]] = entry
+
+# (benchmark family, counter) -> the value it must have.
+PINNED = {
+    ("BM_FrontierMixedTenants", "overtake"): 1.0,
+    ("BM_FrontierStarvation", "starved"): 0.0,
+    ("BM_DedupStorm", "compiles_per_batch"): 1.0,
 }
 
 baseline = None
@@ -110,6 +144,25 @@ for name in sorted(speedup):
     print(f"  {name}: {speedup[name]}x vs baseline")
 
 if gate is not None:
+    broken = []
+    for (family, counter), want in sorted(PINNED.items()):
+        runs = [(name, entry) for name, entry in current.items()
+                if name.split("/")[0] == family]
+        if not runs:
+            broken.append(f"{family}: not run, {counter} unchecked")
+        for name, entry in runs:
+            got = entry.get("counters", {}).get(counter)
+            if got is None or abs(got - want) > 1e-9:
+                broken.append(f"{name}: {counter} = {got}, pinned {want}")
+    if broken:
+        print("FAIL: pinned counters violated:")
+        for line in broken:
+            print(f"  {line}")
+        sys.exit(1)
+    print("pinned counters ok: " + ", ".join(
+        f"{family} {counter} == {want:g}"
+        for (family, counter), want in sorted(PINNED.items())))
+
     def coarse(name):
         base = baseline.get(name)
         # Gate only >=1ms benches: stable on CI.

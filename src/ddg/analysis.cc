@@ -1,6 +1,7 @@
 #include "ddg/analysis.hh"
 
 #include <algorithm>
+#include <string>
 
 #include "support/logging.hh"
 
@@ -36,10 +37,12 @@ topoOrder(const Ddg &ddg)
         }
     }
 
-    if (static_cast<int>(order.size()) != ddg.numNodes())
-        cv_panic("distance-0 subgraph has a cycle (",
-                 order.size(), " of ", ddg.numNodes(),
-                 " nodes ordered)");
+    if (static_cast<int>(order.size()) != ddg.numNodes()) {
+        throw InvalidDdg("distance-0 subgraph has a cycle (" +
+                         std::to_string(order.size()) + " of " +
+                         std::to_string(ddg.numNodes()) +
+                         " nodes ordered)");
+    }
     return order;
 }
 
@@ -187,8 +190,9 @@ flattenEdges(const Ddg &ddg, const MachineConfig &mach)
 }
 
 bool
-hasPositiveCycleFlat(const std::vector<FlatEdge> &edges, int num_nodes,
-                     int slots, int ii, std::vector<long long> &dist)
+hasPositiveCycleFlat(const FlatEdge *edges, std::size_t count,
+                     int num_nodes, int slots, int ii,
+                     std::vector<long long> &dist)
 {
     // Bellman-Ford longest-path relaxation with edge weight
     // latency - II * distance; a relaxation in pass |V| proves a
@@ -197,11 +201,11 @@ hasPositiveCycleFlat(const std::vector<FlatEdge> &edges, int num_nodes,
     const int passes = num_nodes;
     for (int pass = 0; pass <= passes; ++pass) {
         bool relaxed = false;
-        for (const FlatEdge &e : edges) {
+        for (const FlatEdge *e = edges; e != edges + count; ++e) {
             const long long w =
-                e.latency - static_cast<long long>(ii) * e.distance;
-            if (dist[e.src] + w > dist[e.dst]) {
-                dist[e.dst] = dist[e.src] + w;
+                e->latency - static_cast<long long>(ii) * e->distance;
+            if (dist[e->src] + w > dist[e->dst]) {
+                dist[e->dst] = dist[e->src] + w;
                 relaxed = true;
             }
         }
@@ -218,40 +222,123 @@ hasPositiveCycle(const Ddg &ddg, const MachineConfig &mach, int ii)
 {
     const auto edges = flattenEdges(ddg, mach);
     std::vector<long long> dist;
-    return hasPositiveCycleFlat(edges, ddg.numNodes(),
-                                ddg.numNodeSlots(), ii, dist);
+    return hasPositiveCycleFlat(edges.data(), edges.size(),
+                                ddg.numNodes(), ddg.numNodeSlots(), ii,
+                                dist);
 }
 
-int
-recurrenceMii(const Ddg &ddg, const MachineConfig &mach)
+namespace
 {
-    // Flatten once: the binary search probes many IIs over the same
-    // edge weights.
-    const auto edges = flattenEdges(ddg, mach);
-    const int num_nodes = ddg.numNodes();
-    const int slots = ddg.numNodeSlots();
-    std::vector<long long> dist;
 
-    // Upper bound: the total latency of all edges bounds any single
-    // cycle's latency sum; a cycle has distance sum >= 1.
+/**
+ * RecMII of one component from its intra-component edges, whose
+ * endpoints are renumbered densely into [0, @p num_nodes): the
+ * smallest II at which no cycle has positive weight
+ * latency - II * distance; 0 when no edge is loop-carried.
+ */
+int
+componentRecMii(const FlatEdge *edges, std::size_t count, int num_nodes,
+                std::vector<long long> &dist)
+{
+    // Upper bound: a cycle's latency sum is at most the sum of the
+    // component's non-negative latencies, and its distance sum >= 1.
     long long hi = 1;
-    for (const FlatEdge &e : edges)
-        hi += e.latency;
-
-    if (!hasPositiveCycleFlat(edges, num_nodes, slots, 1, dist))
+    bool has_cycle_edge = false;
+    for (const FlatEdge *e = edges; e != edges + count; ++e) {
+        hi += std::max(0, e->latency);
+        has_cycle_edge |= e->distance > 0;
+    }
+    if (!has_cycle_edge)
+        return 0;
+    if (!hasPositiveCycleFlat(edges, count, num_nodes, num_nodes, 1,
+                              dist))
         return 1;
 
     // Smallest II in (1, hi] with no positive cycle; monotone in II.
     long long lo = 1; // has positive cycle
     while (lo + 1 < hi) {
-        long long mid = lo + (hi - lo) / 2;
-        if (hasPositiveCycleFlat(edges, num_nodes, slots,
+        const long long mid = lo + (hi - lo) / 2;
+        if (hasPositiveCycleFlat(edges, count, num_nodes, num_nodes,
                                  static_cast<int>(mid), dist))
             lo = mid;
         else
             hi = mid;
     }
     return static_cast<int>(hi);
+}
+
+} // namespace
+
+int
+sccRecMii(const Ddg &ddg, const MachineConfig &mach,
+          const std::vector<NodeId> &members)
+{
+    std::vector<int> local(ddg.numNodeSlots(), -1);
+    for (std::size_t i = 0; i < members.size(); ++i)
+        local[members[i]] = static_cast<int>(i);
+    std::vector<FlatEdge> edges;
+    for (NodeId n : members) {
+        for (EdgeId eid : ddg.outEdgesRaw(n)) {
+            const DdgEdge &e = ddg.edge(eid);
+            if (e.alive && local[e.dst] >= 0) {
+                edges.push_back({local[e.src], local[e.dst],
+                                 ddg.edgeLatency(eid, mach),
+                                 e.distance});
+            }
+        }
+    }
+    std::vector<long long> dist;
+    return componentRecMii(edges.data(), edges.size(),
+                           static_cast<int>(members.size()), dist);
+}
+
+int
+recurrenceMii(const Ddg &ddg, const MachineConfig &mach)
+{
+    // Every cycle lies inside one SCC, so RecMII is the largest
+    // per-component bound. Bucket the intra-component edges by
+    // component (a counting sort), with endpoints renumbered densely
+    // per component so each Bellman-Ford touches only its own nodes.
+    const auto comp = stronglyConnectedComponents(ddg);
+    int num_comps = 0;
+    for (NodeId n : ddg.nodes())
+        num_comps = std::max(num_comps, comp[n] + 1);
+
+    std::vector<int> comp_size(num_comps, 0);
+    std::vector<int> local(ddg.numNodeSlots(), -1);
+    for (NodeId n : ddg.nodes())
+        local[n] = comp_size[comp[n]]++;
+
+    std::vector<int> first(num_comps + 1, 0);
+    for (EdgeId eid : ddg.edges()) {
+        const DdgEdge &e = ddg.edge(eid);
+        if (comp[e.src] == comp[e.dst])
+            ++first[comp[e.src] + 1];
+    }
+    for (int c = 0; c < num_comps; ++c)
+        first[c + 1] += first[c];
+    std::vector<FlatEdge> edges(first[num_comps]);
+    std::vector<int> fill(first.begin(), first.end() - 1);
+    for (EdgeId eid : ddg.edges()) {
+        const DdgEdge &e = ddg.edge(eid);
+        if (comp[e.src] == comp[e.dst]) {
+            edges[fill[comp[e.src]]++] = {local[e.src], local[e.dst],
+                                          ddg.edgeLatency(eid, mach),
+                                          e.distance};
+        }
+    }
+
+    int rec = 1;
+    std::vector<long long> dist;
+    for (int c = 0; c < num_comps; ++c) {
+        const auto count =
+            static_cast<std::size_t>(first[c + 1] - first[c]);
+        if (count == 0)
+            continue;
+        rec = std::max(rec, componentRecMii(edges.data() + first[c],
+                                            count, comp_size[c], dist));
+    }
+    return rec;
 }
 
 std::vector<bool>

@@ -19,13 +19,27 @@
 #ifndef CVLIW_DDG_ANALYSIS_HH
 #define CVLIW_DDG_ANALYSIS_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "ddg/ddg.hh"
 
 namespace cvliw
 {
+
+/**
+ * A DDG no loop can have: its distance-0 subgraph has a cycle, so no
+ * iteration could ever start. Thrown by the analyses that need a
+ * topological order; a serving worker records it as a failed job
+ * instead of taking the process down.
+ */
+class InvalidDdg : public std::invalid_argument
+{
+  public:
+    using std::invalid_argument::invalid_argument;
+};
 
 /**
  * Per-node timing of one loop iteration, considering only distance-0
@@ -45,7 +59,7 @@ struct NodeTimes
 
 /**
  * Topological order of the live nodes using only distance-0 edges.
- * Panics if the distance-0 subgraph has a cycle (an illegal DDG).
+ * @throws InvalidDdg if the distance-0 subgraph has a cycle
  */
 std::vector<NodeId> topoOrder(const Ddg &ddg);
 
@@ -72,8 +86,22 @@ bool hasPositiveCycle(const Ddg &ddg, const MachineConfig &mach, int ii);
  * Maximum over elementary cycles of ceil(sum latency / sum distance);
  * 1 when the graph has no recurrences. This is the RecMII term of the
  * minimum initiation interval.
+ *
+ * Every cycle lies inside one strongly connected component, so this
+ * is max(1, max over SCCs of sccRecMii): one Bellman-Ford binary
+ * search per component that has a loop-carried edge, each over only
+ * that component's nodes and internal edges.
  */
 int recurrenceMii(const Ddg &ddg, const MachineConfig &mach);
+
+/**
+ * RecMII of one strongly connected component: max over its cycles of
+ * ceil(latency sum / distance sum); 0 when the component has no
+ * loop-carried edge (and so, in a valid DDG, no cycle).
+ * @param members nodes of the component
+ */
+int sccRecMii(const Ddg &ddg, const MachineConfig &mach,
+              const std::vector<NodeId> &members);
 
 /**
  * Longest total latency of any single recurrence through @p n, or 0
@@ -139,11 +167,12 @@ std::vector<FlatEdge> flattenEdges(const Ddg &ddg,
                                    const MachineConfig &mach);
 
 /**
- * hasPositiveCycle over a pre-flattened edge list. @p dist is scratch
- * storage of at least @p slots entries, reused across calls (the
- * RecMII binary search probes many IIs over the same edges).
+ * hasPositiveCycle over the @p count pre-flattened edges at @p edges,
+ * whose endpoints lie in [0, @p slots). @p dist is scratch storage,
+ * reused across calls (the RecMII binary search probes many IIs over
+ * the same edges).
  */
-bool hasPositiveCycleFlat(const std::vector<FlatEdge> &edges,
+bool hasPositiveCycleFlat(const FlatEdge *edges, std::size_t count,
                           int num_nodes, int slots, int ii,
                           std::vector<long long> &dist);
 

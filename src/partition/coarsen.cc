@@ -63,19 +63,18 @@ constexpr auto numKinds =
 
 using Usage = std::array<int, numKinds>;
 
-/** Per-kind capacity check for contracting two coarse vertices. */
+/**
+ * Per-kind capacity check for contracting two coarse vertices;
+ * @p cap holds available * II per kind.
+ */
 bool
-mergeFits(const Usage &a, const Usage &b, const MachineConfig &mach,
-          int ii)
+mergeFits(const Usage &a, const Usage &b, const Usage &cap)
 {
     for (std::size_t k = 0; k < numKinds; ++k) {
-        const auto kind = static_cast<ResourceKind>(k);
-        if (kind == ResourceKind::Bus)
+        if (static_cast<ResourceKind>(k) == ResourceKind::Bus)
             continue;
         const int need = a[k] + b[k];
-        if (need == 0)
-            continue;
-        if (need > mach.available(kind) * ii)
+        if (need != 0 && need > cap[k])
             return false;
     }
     return true;
@@ -134,9 +133,14 @@ coarsen(const Ddg &ddg, const MachineConfig &mach, int ii,
         }
     }
 
+    Usage cap{};
+    for (std::size_t k = 0; k < numKinds; ++k)
+        cap[k] = mach.available(static_cast<ResourceKind>(k)) * ii;
+
     // Accumulated edge weights between coarse vertices: one edge per
-    // (a < b) pair, kept sorted by (a, b).
+    // (a < b) pair, kept sorted by (a, b) between levels.
     std::vector<MatchEdge> weights;
+    weights.reserve(static_cast<std::size_t>(ddg.numEdges()));
     for (EdgeId eid : ddg.edges()) {
         const DdgEdge &e = ddg.edge(eid);
         const long long w =
@@ -153,17 +157,25 @@ coarsen(const Ddg &ddg, const MachineConfig &mach, int ii,
     }
     foldParallelEdges(weights);
 
-    while (num_vertices > clusters) {
-        auto feasible = [&](int a, int b) {
-            return mergeFits(usage[a], usage[b], mach, ii);
-        };
-        auto pairs = greedyMatching(num_vertices, weights, feasible);
+    // Per-level buffers, reused across levels.
+    std::vector<char> matched;
+    std::vector<std::pair<int, int>> pairs;
+    std::vector<int> new_id;
+    std::vector<Usage> nusage;
+    const auto feasible = [&](int a, int b) {
+        return mergeFits(usage[a], usage[b], cap);
+    };
 
+    while (num_vertices > clusters) {
+        // The matching reorders the edges in place; the fold below
+        // restores the (a, b) order, and summing parallel weights
+        // does not depend on the order they arrive in.
+        sortForMatching(weights);
+        matched.assign(num_vertices, 0);
         // Never contract past the target count.
-        const std::size_t limit =
-            static_cast<std::size_t>(num_vertices - clusters);
-        if (pairs.size() > limit)
-            pairs.resize(limit);
+        matchSorted(weights,
+                    static_cast<std::size_t>(num_vertices - clusters),
+                    feasible, matched, pairs);
 
         if (pairs.empty()) {
             // No capacity-feasible contraction remains. Stop here:
@@ -174,7 +186,7 @@ coarsen(const Ddg &ddg, const MachineConfig &mach, int ii,
         }
 
         // Renumber: matched pairs collapse, everything else survives.
-        std::vector<int> new_id(num_vertices, -1);
+        new_id.assign(num_vertices, -1);
         int next = 0;
         for (const auto &[a, b] : pairs) {
             new_id[a] = next;
@@ -187,12 +199,12 @@ coarsen(const Ddg &ddg, const MachineConfig &mach, int ii,
         }
 
         // Rebuild usage.
-        std::vector<Usage> nusage(next, Usage{});
+        nusage.assign(next, Usage{});
         for (int v = 0; v < num_vertices; ++v) {
             for (std::size_t k = 0; k < numKinds; ++k)
                 nusage[new_id[v]][k] += usage[v][k];
         }
-        usage = std::move(nusage);
+        usage.swap(nusage);
 
         // Renumber the edges in place, dropping contracted ones.
         std::size_t kept = 0;

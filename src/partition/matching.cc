@@ -6,27 +6,14 @@
 namespace cvliw
 {
 
-std::vector<std::pair<int, int>>
-greedyMatching(int num_vertices, std::vector<MatchEdge> edges,
-               const std::function<bool(int, int)> &feasible)
+void
+sortForMatching(std::vector<MatchEdge> &edges)
 {
     std::sort(edges.begin(), edges.end(),
               [](const MatchEdge &x, const MatchEdge &y) {
                   return std::tie(y.weight, x.a, x.b) <
                          std::tie(x.weight, y.a, y.b);
               });
-
-    std::vector<bool> matched(num_vertices, false);
-    std::vector<std::pair<int, int>> pairs;
-    for (const MatchEdge &e : edges) {
-        if (e.a == e.b || matched[e.a] || matched[e.b])
-            continue;
-        if (!feasible(e.a, e.b))
-            continue;
-        matched[e.a] = matched[e.b] = true;
-        pairs.emplace_back(e.a, e.b);
-    }
-    return pairs;
 }
 
 } // namespace cvliw

@@ -8,7 +8,7 @@
 #ifndef CVLIW_PARTITION_MATCHING_HH
 #define CVLIW_PARTITION_MATCHING_HH
 
-#include <functional>
+#include <cstddef>
 #include <utility>
 #include <vector>
 
@@ -24,6 +24,42 @@ struct MatchEdge
 };
 
 /**
+ * Sort @p edges into greedy visit order: decreasing weight, ties
+ * broken by endpoint ids for determinism.
+ */
+void sortForMatching(std::vector<MatchEdge> &edges);
+
+/**
+ * Greedy matching over @p edges already in sortForMatching() order:
+ * an edge is matched when both endpoints are free and @p feasible
+ * allows the pair. Stops after @p limit pairs; the pairs found are
+ * those of an unlimited run, truncated, because later edges never
+ * unmatch earlier ones.
+ *
+ * @param matched per-vertex flags, all zero on entry and at least as
+ *        large as the largest endpoint
+ * @param pairs receives the matched pairs (cleared first)
+ */
+template <typename Feasible>
+void
+matchSorted(const std::vector<MatchEdge> &edges, std::size_t limit,
+            const Feasible &feasible, std::vector<char> &matched,
+            std::vector<std::pair<int, int>> &pairs)
+{
+    pairs.clear();
+    for (const MatchEdge &e : edges) {
+        if (pairs.size() >= limit)
+            break;
+        if (e.a == e.b || matched[e.a] || matched[e.b])
+            continue;
+        if (!feasible(e.a, e.b))
+            continue;
+        matched[e.a] = matched[e.b] = 1;
+        pairs.emplace_back(e.a, e.b);
+    }
+}
+
+/**
  * Greedy maximum-weight matching: edges are visited by decreasing
  * weight (ties broken by endpoint ids for determinism) and matched
  * when both endpoints are free and @p feasible allows the pair.
@@ -35,9 +71,17 @@ struct MatchEdge
  *        allowed (e.g. resource-capacity check)
  * @return matched pairs
  */
+template <typename Feasible>
 std::vector<std::pair<int, int>>
 greedyMatching(int num_vertices, std::vector<MatchEdge> edges,
-               const std::function<bool(int, int)> &feasible);
+               const Feasible &feasible)
+{
+    sortForMatching(edges);
+    std::vector<char> matched(static_cast<std::size_t>(num_vertices), 0);
+    std::vector<std::pair<int, int>> pairs;
+    matchSorted(edges, edges.size(), feasible, matched, pairs);
+    return pairs;
+}
 
 } // namespace cvliw
 

@@ -17,21 +17,35 @@
  * state lives in a reusable `PseudoScratch`:
  *
  *  - `pseudoSchedule(..., scratch)` is the from-scratch oracle. It
- *    recomputes everything for an arbitrary assignment, reusing the
- *    scratch's buffers and analysis memo (no per-call allocation).
+ *    recomputes everything for an arbitrary assignment by walking the
+ *    `Ddg` and asking the `MachineConfig`, reusing the scratch's
+ *    buffers and analysis memo (no per-call allocation).
  *  - `bind()` / `probeMove()` / `commitMove()` form the incremental
- *    engine: after `bind()`, the scratch owns the current assignment
+ *    engine. `bind()` records a flat snapshot of the graph and the
+ *    machine: the distance-0 in-edges in topological order with
+ *    their latencies resolved and their cut (bus) penalty, each
+ *    node's resource kind and latency, each node's tracked
+ *    register-flow producers, each value's flow consumers, the
+ *    per-cluster capacity of every resource kind, the bus latency
+ *    and the register file size. It then owns the current assignment
  *    plus live per-(kind, cluster) resource counts and per-producer
  *    communication counts, and a single-node move is evaluated as a
- *    *delta* touching only the moved node's incident edges.
+ *    *delta* touching only the moved node's producers. Every kernel
+ *    of the probe path (the move itself, the cheap prefix, ASAP and
+ *    length, the register sweep, and bind()'s own starting result)
+ *    reads the snapshot, never the `Ddg`.
+ *
+ * The snapshot is valid until the next `bind()`. The bound graph and
+ * machine must not change (nor be destroyed) in between; a changed
+ * graph needs a new `bind()`.
  *
  * ### Delta-evaluation invariants
  *
- * 1. A `probeMove()` that returns true yields a `PseudoResult`
- *    bit-identical to `pseudoSchedule()` on the moved assignment:
- *    both paths share the same ASAP / register-sweep kernels, and
- *    the incremental communication count always equals
- *    `findCommunications().count()`.
+ * 1. `bind()` returns, and a `probeMove()` that returns true yields,
+ *    a `PseudoResult` bit-identical to `pseudoSchedule()` on the same
+ *    assignment: the snapshot kernels compute the same quantities as
+ *    the oracle's, and the incremental communication count always
+ *    equals `findCommunications().count()`.
  * 2. The expensive O(V+E) parts (the ASAP length estimate and the
  *    register-width sweep) run only where they can change the
  *    verdict. A probe is decided in this order:
@@ -47,13 +61,22 @@
  *       `regOverflow > 0`.
  *    The sweep is skipped altogether when an assignment-independent
  *    upper bound proves no cluster can exceed its register file.
- * 3. `probeMove()` leaves the scratch state exactly as it found it;
+ * 3. Before any of that, `probeMove()` rejects in O(1) when the
+ *    target cluster's count `u` of the node's resource kind, plus
+ *    the node itself, already needs `ceil((u + 1) / avail) >
+ *    best.iiPart` cycles. The moved assignment's iiPart is at least
+ *    that bound, so the full evaluation would reject it too. The
+ *    check applies only when `avail > 0`: a kind with no units is
+ *    the `1000 * u` overflow penalty, which does not raise iiPart.
+ *    A rejected probe still counts in `probeCount()`.
+ * 4. `probeMove()` leaves the scratch state exactly as it found it;
  *    only `commitMove()` (and `bind()`) change the bound assignment.
  */
 
 #ifndef CVLIW_SCHED_PSEUDO_HH
 #define CVLIW_SCHED_PSEUDO_HH
 
+#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -93,14 +116,12 @@ struct PseudoResult
 class PseudoScratch
 {
   public:
-    /** Analysis memo shared by every evaluation on this scratch. */
-    AnalysisCache &analyses() { return cache_; }
-
     /**
      * Bind the incremental engine to (@p ddg, @p mach, @p ii) with
-     * the starting assignment @p cluster_of, and return the full
-     * pseudo-schedule result of that assignment (computed by the
-     * from-scratch oracle).
+     * the starting assignment @p cluster_of: record the snapshot and
+     * the incremental state, and return the full pseudo-schedule
+     * result of that assignment, computed from them. @p ddg and
+     * @p mach must stay unchanged until the next bind().
      */
     PseudoResult bind(const Ddg &ddg, const MachineConfig &mach,
                       const std::vector<int> &cluster_of, int ii);
@@ -151,13 +172,56 @@ class PseudoScratch
      */
     bool evalAgainst(const PseudoResult &best, PseudoResult &out);
 
-    const Ddg *ddg_ = nullptr;
+    /** iiPart, overflow, comms and imbalance of the applied state. */
+    PseudoResult cheapResult() const;
+
+    /** ASAP times into est_; returns the schedule length. */
+    int asapLength();
+
+    /** Register-width deficit of the applied state (needs est_). */
+    int regOverflow();
+
+    static constexpr std::size_t numKinds_ =
+        static_cast<std::size_t>(ResourceKind::NumResourceKinds);
+
+    /** A distance-0 in-edge of the snapshot. */
+    struct InEdge
+    {
+        NodeId src;
+        int latency;
+        int cutPenalty; //!< bus latency for RegFlow edges, else 0
+    };
+
+    /** A live register-flow out-edge of a value producer. */
+    struct OutFlow
+    {
+        NodeId dst;
+        int distance;
+    };
+
     const MachineConfig *mach_ = nullptr;
     int ii_ = 0;
     int clusters_ = 0;
     bool widthCanOverflow_ = true;
 
     AnalysisCache cache_;
+
+    // Snapshot of the bound graph and machine (see the file comment).
+    std::array<int, numKinds_> avail_{}; //!< units per cluster by kind
+    int bus_ = 0;                        //!< bus latency
+    int regs_ = 0;                       //!< registers per cluster
+    std::vector<signed char> kind_;      //!< resource kind; -1: copy
+    std::vector<int> nodeLat_;           //!< per node: its latency
+    std::vector<NodeId> order_;          //!< topological order
+    std::vector<int> inBegin_;           //!< order_ index -> inEdges_
+    std::vector<InEdge> inEdges_;
+    std::vector<int> prodBegin_;         //!< NodeId -> prods_
+    std::vector<NodeId> prods_;          //!< tracked flow producers
+    std::vector<NodeId> values_;         //!< value producers, id order
+    std::vector<int> outBegin_;          //!< values_ index -> outFlows_
+    std::vector<OutFlow> outFlows_;
+    /** Per node: non-copy value producer (comm-eligible). */
+    std::vector<char> tracked_;
 
     // Incremental state (valid between bind() and the next bind()).
     std::vector<int> assign_;
@@ -167,17 +231,17 @@ class PseudoScratch
     std::vector<int> consCnt_;
     /** Per producer: clusters != home holding >=1 consumer. */
     std::vector<int> remoteCnt_;
-    /** Per node: non-copy value producer (comm-eligible). */
-    std::vector<char> tracked_;
     int commCount_ = 0;
 
     std::uint64_t probes_ = 0;
     std::uint64_t commits_ = 0;
 
-    // Buffers of the from-scratch path and the expensive kernels.
+    // Buffers of the expensive kernels; est_ is the probe path's,
+    // estFull_ the oracle's.
+    std::vector<int> est_;
+    std::vector<int> estFull_;
     std::vector<int> usageFull_;
     std::vector<int> opsFull_;
-    std::vector<int> est_;
     std::vector<std::vector<std::pair<int, int>>> events_;
     std::vector<int> carried_;
     std::vector<int> last_;

@@ -11,54 +11,6 @@
 namespace cvliw
 {
 
-int
-sccRecMii(const Ddg &ddg, const MachineConfig &mach,
-          const std::vector<NodeId> &members)
-{
-    // Collect intra-component edges with latencies resolved once:
-    // the binary search relaxes each edge members.size() times per
-    // probe, so edgeLatency() must not be in that loop.
-    std::vector<bool> in(ddg.numNodeSlots(), false);
-    for (NodeId n : members)
-        in[n] = true;
-    std::vector<FlatEdge> edges;
-    bool has_cycle_edge = false;
-    for (NodeId n : members) {
-        for (EdgeId eid : ddg.outEdgesRaw(n)) {
-            const DdgEdge &e = ddg.edge(eid);
-            if (e.alive && in[e.dst]) {
-                edges.push_back({e.src, e.dst,
-                                 ddg.edgeLatency(eid, mach),
-                                 e.distance});
-                if (e.distance > 0)
-                    has_cycle_edge = true;
-            }
-        }
-    }
-    if (!has_cycle_edge)
-        return 0;
-
-    const int num_nodes = static_cast<int>(members.size());
-    const int slots = ddg.numNodeSlots();
-    std::vector<long long> dist;
-
-    long long hi = 1;
-    for (const FlatEdge &e : edges)
-        hi += e.latency;
-    if (!hasPositiveCycleFlat(edges, num_nodes, slots, 1, dist))
-        return 1;
-    long long lo = 1;
-    while (lo + 1 < hi) {
-        const long long mid = lo + (hi - lo) / 2;
-        if (hasPositiveCycleFlat(edges, num_nodes, slots,
-                                 static_cast<int>(mid), dist))
-            lo = mid;
-        else
-            hi = mid;
-    }
-    return static_cast<int>(hi);
-}
-
 std::vector<NodeId>
 smsOrder(const Ddg &ddg, const MachineConfig &mach)
 {

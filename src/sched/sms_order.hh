@@ -40,14 +40,6 @@ std::vector<NodeId> smsOrder(const Ddg &ddg, const MachineConfig &mach);
 std::vector<NodeId> smsOrder(const Ddg &ddg, const MachineConfig &mach,
                              AnalysisCache &cache);
 
-/**
- * RecMII of one strongly connected component: max over its cycles of
- * ceil(latency sum / distance sum); 0 when the component has no cycle.
- * @param members nodes of the component
- */
-int sccRecMii(const Ddg &ddg, const MachineConfig &mach,
-              const std::vector<NodeId> &members);
-
 } // namespace cvliw
 
 #endif // CVLIW_SCHED_SMS_ORDER_HH

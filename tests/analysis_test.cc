@@ -1,7 +1,8 @@
 /**
  * @file
  * DDG analysis tests: topological order, ASAP/ALAP, SCCs, positive
- * cycles and RecMII.
+ * cycles and RecMII, including the per-SCC RecMII against a
+ * whole-graph reference search.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,8 @@
 
 #include "ddg/analysis.hh"
 #include "ddg/builder.hh"
+#include "support/rng.hh"
+#include "workloads/suite_io.hh"
 
 namespace cvliw
 {
@@ -200,6 +203,132 @@ TEST(RecMii, LongerLoopCarriedChain)
     b.flow("z", "x", 1);
     // 3 fp adds (3 cycles each) over distance 1 => RecMII 9.
     EXPECT_EQ(recurrenceMii(b.take(), m), 9);
+}
+
+/**
+ * The whole-graph RecMII search the per-SCC one replaced: a
+ * Bellman-Ford binary search over every edge of the graph, kept here
+ * as the reference.
+ */
+int
+wholeGraphRecMii(const Ddg &ddg, const MachineConfig &mach)
+{
+    const auto edges = flattenEdges(ddg, mach);
+    const int num_nodes = ddg.numNodes();
+    const int slots = ddg.numNodeSlots();
+    std::vector<long long> dist;
+    auto positive = [&](long long ii) {
+        return hasPositiveCycleFlat(edges.data(), edges.size(), num_nodes,
+                                    slots, static_cast<int>(ii), dist);
+    };
+
+    long long hi = 1;
+    for (const FlatEdge &e : edges)
+        hi += e.latency;
+    if (!positive(1))
+        return 1;
+    long long lo = 1;
+    while (lo + 1 < hi) {
+        const long long mid = lo + (hi - lo) / 2;
+        if (positive(mid))
+            lo = mid;
+        else
+            hi = mid;
+    }
+    return static_cast<int>(hi);
+}
+
+/**
+ * A random valid DDG: distance-0 edges only go forward in id order
+ * (so it stays acyclic at distance 0), loop-carried edges go
+ * anywhere, self-loops included; @p carried of them.
+ */
+Ddg
+randomRecurrenceGraph(Rng &rng, int nodes, int carried)
+{
+    const OpClass classes[] = {OpClass::IntAlu, OpClass::IntMul,
+                               OpClass::FpAlu, OpClass::FpMul,
+                               OpClass::FpDiv, OpClass::Load};
+    Ddg g;
+    for (int i = 0; i < nodes; ++i) {
+        g.addNode(classes[rng.uniformInt(0, 5)],
+                  "n" + std::to_string(i));
+    }
+    for (int i = 1; i < nodes; ++i) {
+        const int preds = static_cast<int>(rng.uniformInt(0, 2));
+        for (int p = 0; p < preds; ++p) {
+            const auto src = static_cast<NodeId>(rng.uniformInt(0, i - 1));
+            if (rng.chance(0.2)) {
+                g.addEdge(src, i, EdgeKind::Memory, 0,
+                          static_cast<int>(rng.uniformInt(0, 4)));
+            } else {
+                g.addEdge(src, i, EdgeKind::RegFlow, 0);
+            }
+        }
+    }
+    for (int k = 0; k < carried; ++k) {
+        const auto src = static_cast<NodeId>(rng.uniformInt(0, nodes - 1));
+        const auto dst = rng.chance(0.3)
+                             ? src
+                             : static_cast<NodeId>(
+                                   rng.uniformInt(0, nodes - 1));
+        g.addEdge(src, dst, EdgeKind::RegFlow,
+                  static_cast<int>(rng.uniformInt(1, 3)));
+    }
+    return g;
+}
+
+TEST(RecMii, PerSccMatchesWholeGraphSearch)
+{
+    // Every seed-42 suite loop on the clustered and unified configs.
+    const auto suite = loadOrBuildSuite(42);
+    ASSERT_FALSE(suite.empty());
+    int above_one = 0;
+    for (const char *cfg :
+         {"2c1b2l64r", "4c2b2l64r", "4c2b4l64r", "unified"}) {
+        const auto m = MachineConfig::fromString(cfg);
+        for (const Loop &loop : suite) {
+            const int rec = recurrenceMii(loop.ddg, m);
+            ASSERT_EQ(rec, wholeGraphRecMii(loop.ddg, m))
+                << loop.name() << " on " << cfg;
+            above_one += rec > 1;
+        }
+    }
+    EXPECT_GT(above_one, 0);
+
+    // Generated graphs: self-loops, several SCCs per graph, and no
+    // recurrence at all; each shape must actually occur.
+    Rng rng(4242);
+    const auto m = MachineConfig::unified();
+    int self_loops = 0, multi_scc = 0, acyclic = 0;
+    for (int i = 0; i < 300; ++i) {
+        const int nodes = static_cast<int>(rng.uniformInt(1, 40));
+        const int carried = static_cast<int>(rng.uniformInt(0, 6));
+        const Ddg g = randomRecurrenceGraph(rng, nodes, carried);
+        ASSERT_EQ(recurrenceMii(g, m), wholeGraphRecMii(g, m))
+            << "graph " << i;
+
+        const auto comp = stronglyConnectedComponents(g);
+        std::vector<bool> recurrence(g.numNodeSlots(), false);
+        bool self_loop = false;
+        for (EdgeId eid : g.edges()) {
+            const DdgEdge &e = g.edge(eid);
+            if (e.src == e.dst) {
+                self_loop = true;
+                recurrence[comp[e.src]] = true;
+            } else if (comp[e.src] == comp[e.dst]) {
+                recurrence[comp[e.src]] = true;
+            }
+        }
+        const auto recurrences =
+            std::count(recurrence.begin(), recurrence.end(), true);
+        self_loops += self_loop;
+        multi_scc += recurrences >= 2;
+        acyclic += recurrences == 0;
+    }
+    EXPECT_GT(self_loops, 0);
+    EXPECT_GT(multi_scc, 0);
+    EXPECT_GT(acyclic, 0);
 }
 
 } // namespace

@@ -3,8 +3,9 @@
  * Serving-frontier tests (eval/frontier.hh): per-batch determinism at
  * 1/4/hw workers under concurrent load, priority overtaking, the full
  * cancellation matrix (before start, mid-batch, after finish -
- * idempotent), empty batches, and a multi-threaded submit fuzz whose
- * every result is checked against single-batch oracle runs. The CI
+ * idempotent), empty batches, a multi-threaded submit fuzz whose
+ * every result is checked against single-batch oracle runs, and
+ * per-job isolation of failures, including an invalid caller DDG. The CI
  * ThreadSanitizer job runs this binary to catch data races in the
  * frontier itself.
  */
@@ -20,6 +21,8 @@
 #include <thread>
 #include <vector>
 
+#include "ddg/analysis.hh"
+#include "ddg/builder.hh"
 #include "eval/digest.hh"
 #include "eval/frontier.hh"
 #include "eval/service.hh"
@@ -493,6 +496,54 @@ TEST(FrontierFaults, FailedJobIsIsolatedFromBatchAndTenants)
     EXPECT_EQ(stats.jobsFailed, 1u);
     EXPECT_EQ(stats.jobsOk, loopsA.size() + loopsB.size() - 1);
     EXPECT_EQ(stats.pendingJobs, 0u);
+}
+
+TEST(FrontierFaults, DistanceZeroCycleFailsOnlyItsJob)
+{
+    // A caller's DDG whose distance-0 subgraph has a cycle is not a
+    // loop body. It must fail as one job with a typed error, not abort
+    // the process: every other job still completes bit-exact.
+    DdgBuilder b;
+    b.op("a", OpClass::IntAlu);
+    b.op("b", OpClass::IntAlu, {"a"});
+    b.flow("b", "a", 0);
+    const Ddg cyclic = b.take();
+    EXPECT_THROW(topoOrder(cyclic), InvalidDdg);
+    EXPECT_THROW(compile(cyclic, MachineConfig::fromString("4c2b2l64r")),
+                 std::invalid_argument);
+
+    const auto &sample = sampleLoops();
+    const auto m = MachineConfig::fromString("4c2b2l64r");
+    const std::size_t bad = 3;
+    std::vector<Frontier::Job> jobs;
+    std::vector<std::uint64_t> oracle;
+    for (std::size_t i = 0; i < 8; ++i) {
+        if (i == bad) {
+            jobs.push_back(Frontier::Job{&cyclic, &m, nullptr});
+            oracle.push_back(0);
+            continue;
+        }
+        jobs.push_back(Frontier::Job{&sample[i].ddg, &m, nullptr});
+        oracle.push_back(oracleDigest(sample[i], m));
+    }
+
+    Frontier frontier(2);
+    auto handle = frontier.submit(jobs);
+    handle.wait();
+
+    EXPECT_EQ(handle.job(bad).outcome, JobOutcome::Failed);
+    EXPECT_NE(handle.job(bad).error.find("cycle"), std::string::npos)
+        << handle.job(bad).error;
+    EXPECT_FALSE(handle.results()[bad].ok);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (i == bad)
+            continue;
+        EXPECT_EQ(handle.job(i).outcome, JobOutcome::Ok) << "job " << i;
+        ResultDigest d;
+        mixCompileResult(d, handle.results()[i]);
+        EXPECT_EQ(d.h, oracle[i]) << "job " << i;
+    }
+    EXPECT_EQ(frontier.stats().jobsFailed, 1u);
 }
 
 TEST(FrontierFaults, StepBudgetTimesOutPerJob)

@@ -2,12 +2,13 @@
  * @file
  * Tests for the incremental refinement engine and the config-keyed
  * caches:
- *  - the delta move evaluation (PseudoScratch::probeMove) and the
- *    incremental communication count stay bit-identical to the
- *    from-scratch pseudoSchedule / findCommunications oracles over
- *    random move sequences on generated loops, including a
+ *  - the delta move evaluation (PseudoScratch::probeMove), bind()
+ *    and the incremental communication count stay bit-identical to
+ *    the from-scratch pseudoSchedule / findCommunications oracles
+ *    over random move sequences on generated loops, including a
  *    register-starved config where the register sweep decides
- *    probes,
+ *    probes, a machine with no units of one kind, and one scratch
+ *    rebound across graphs and machines,
  *  - CommInfo::update patches exactly to what a full rescan computes,
  *  - AnalysisCache / SchedulerCache never reuse results across
  *    machine configs (the generation-only-key regression).
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "ddg/builder.hh"
+#include "partition/multilevel.hh"
 #include "partition/partition.hh"
 #include "sched/comms.hh"
 #include "sched/mii.hh"
@@ -50,33 +52,45 @@ expectSameComms(const CommInfo &a, const CommInfo &b, const char *what)
     EXPECT_EQ(a.communicated, b.communicated) << what;
 }
 
-/** Probes whose oracle result has a register-width deficit. */
-struct RegisterDeficitProbes
+/** What a random move walk exercised, summed over walks. */
+struct ProbeStats
 {
-    int accepted = 0;
-    int rejected = 0;
+    // Probes whose oracle result has a register-width deficit.
+    int regAccepted = 0;
+    int regRejected = 0;
     /** Rejected, but would win with the deficit taken as 0. */
-    int rejectedBySweep = 0;
+    int regRejectedBySweep = 0;
+    /** Probes the O(1) capacity bound decides (see pseudo.hh). */
+    int capacityRejects = 0;
+    /** Accepted moves of a node whose kind has no units. */
+    int zeroUnitAccepted = 0;
 };
 
 /**
- * Walk 80 random single-node moves of @p loop on @p m from a random
- * assignment, checking every probe against the from-scratch oracle.
+ * Walk 80 random single-node moves of @p loop on @p m at @p ii from
+ * @p start (a random assignment when null), checking every probe, and
+ * the bind() results at the start and the end, against the
+ * from-scratch oracle. @p inc may carry a binding of another graph or
+ * machine from an earlier walk.
  */
 void
-checkRandomMoves(const Loop &loop, const MachineConfig &m, Rng &rng,
-                 RegisterDeficitProbes &reg)
+checkRandomMoves(const Loop &loop, const MachineConfig &m, int ii,
+                 PseudoScratch &inc, Rng &rng, ProbeStats &stats,
+                 const std::vector<int> *start = nullptr)
 {
     const auto nodes = loop.ddg.nodes().toVector();
-    const int ii = minimumIi(loop.ddg, m);
 
     std::vector<int> assign(loop.ddg.numNodeSlots(), 0);
-    for (NodeId n : nodes) {
-        assign[n] =
-            static_cast<int>(rng.uniformInt(0, m.numClusters() - 1));
+    if (start) {
+        assign = *start;
+    } else {
+        for (NodeId n : nodes) {
+            assign[n] = static_cast<int>(
+                rng.uniformInt(0, m.numClusters() - 1));
+        }
     }
 
-    PseudoScratch inc, oracle;
+    PseudoScratch oracle;
     PseudoResult best = inc.bind(loop.ddg, m, assign, ii);
     expectSameResult(best,
                      pseudoSchedule(loop.ddg, m, assign, ii, oracle),
@@ -97,6 +111,20 @@ checkRandomMoves(const Loop &loop, const MachineConfig &m, Rng &rng,
         const PseudoResult full =
             pseudoSchedule(loop.ddg, m, moved, ii, oracle);
 
+        // Does the O(1) bound decide this probe? Count n's kind on c
+        // after the move, from the oracle's side.
+        const ResourceKind kind = m.resourceFor(loop.ddg.node(n).cls);
+        const int units = m.available(kind);
+        int u = 0;
+        for (NodeId v : nodes) {
+            if (moved[v] == c &&
+                loop.ddg.node(v).cls != OpClass::Copy &&
+                m.resourceFor(loop.ddg.node(v).cls) == kind)
+                ++u;
+        }
+        if (units > 0 && (u + units - 1) / units > best.iiPart)
+            ++stats.capacityRejects;
+
         PseudoResult out;
         const bool accepted = inc.probeMove(n, c, best, out);
         ASSERT_EQ(accepted, full.better(best))
@@ -104,10 +132,12 @@ checkRandomMoves(const Loop &loop, const MachineConfig &m, Rng &rng,
         if (full.regOverflow > 0) {
             PseudoResult width0 = full;
             width0.regOverflow = 0;
-            ++(accepted ? reg.accepted : reg.rejected);
+            ++(accepted ? stats.regAccepted : stats.regRejected);
             if (!accepted && width0.better(best))
-                ++reg.rejectedBySweep;
+                ++stats.regRejectedBySweep;
         }
+        if (accepted && units == 0)
+            ++stats.zeroUnitAccepted;
         if (accepted) {
             expectSameResult(out, full, loop.name().c_str());
             best = out;
@@ -123,18 +153,27 @@ checkRandomMoves(const Loop &loop, const MachineConfig &m, Rng &rng,
                   findCommunications(loop.ddg, inc.assignment()).count())
             << loop.name() << " step " << step;
     }
+
+    // Rebinding the walked-to assignment at the next II agrees too.
+    const std::vector<int> reached = inc.assignment();
+    expectSameResult(inc.bind(loop.ddg, m, reached, ii + 1),
+                     pseudoSchedule(loop.ddg, m, reached, ii + 1, oracle),
+                     loop.name().c_str());
 }
 
 TEST(Incremental, DeltaPseudoMatchesOracleOnRandomMoves)
 {
     const auto &profiles = specFp95Profiles();
     Rng rng(2026);
-    RegisterDeficitProbes reg;
+    ProbeStats stats;
     for (std::size_t pi = 0; pi < profiles.size(); pi += 3) {
         const Loop loop = generateLoop(profiles[pi], rng, 0);
-        for (const char *cfg : {"2c1b2l64r", "4c2b4l64r"})
-            checkRandomMoves(loop, MachineConfig::fromString(cfg), rng,
-                             reg);
+        for (const char *cfg : {"2c1b2l64r", "4c2b4l64r"}) {
+            const auto m = MachineConfig::fromString(cfg);
+            PseudoScratch inc;
+            checkRandomMoves(loop, m, minimumIi(loop.ddg, m), inc, rng,
+                             stats);
+        }
     }
 
     // A register-starved config, on every profile: the probes the
@@ -143,13 +182,48 @@ TEST(Incremental, DeltaPseudoMatchesOracleOnRandomMoves)
     const auto starved = MachineConfig::fromString("2c1b2l16r");
     for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
         for (int index = 0; index < 3; ++index) {
-            checkRandomMoves(generateLoop(profiles[pi], rng, index),
-                             starved, rng, reg);
+            const Loop loop = generateLoop(profiles[pi], rng, index);
+            PseudoScratch inc;
+            checkRandomMoves(loop, starved, minimumIi(loop.ddg, starved),
+                             inc, rng, stats);
         }
     }
-    EXPECT_GT(reg.accepted, 0);
-    EXPECT_GT(reg.rejected, 0);
-    EXPECT_GT(reg.rejectedBySweep, 0);
+    EXPECT_GT(stats.regAccepted, 0);
+    EXPECT_GT(stats.regRejected, 0);
+    EXPECT_GT(stats.regRejectedBySweep, 0);
+}
+
+TEST(Incremental, ProbePathMatchesOracleOnSharedScratch)
+{
+    // One scratch rebound across loops and two machines, so a
+    // snapshot that outlived its bind() would show. The custom
+    // machine has no FP units: FP ops take the 1000 * u overflow
+    // penalty, where the O(1) capacity reject must not fire. Its II
+    // comes from 4c2b2l64r (the zero-unit machine has no ResMII).
+    // On 4c2b2l64r the walks start from the multilevel partition,
+    // where bus pressure is low enough for the capacity bound to
+    // decide probes; random starts are bus-bound.
+    const auto clustered = MachineConfig::fromString("4c2b2l64r");
+    const auto no_fp = MachineConfig::custom(
+        2, ClusterResources{2, 0, 2, 0}, 1, 1, 64);
+    const auto &profiles = specFp95Profiles();
+    Rng rng(1313);
+    PseudoScratch inc;
+    ProbeStats stats;
+    for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
+        for (int index = 0; index < 2; ++index) {
+            const Loop loop = generateLoop(profiles[pi], rng, index);
+            const int ii = minimumIi(loop.ddg, clustered);
+            checkRandomMoves(loop, no_fp, ii, inc, rng, stats);
+            const std::vector<int> start =
+                multilevelPartition(loop.ddg, clustered, ii)
+                    .partition.vec();
+            checkRandomMoves(loop, clustered, ii, inc, rng, stats,
+                             &start);
+        }
+    }
+    EXPECT_GT(stats.capacityRejects, 0);
+    EXPECT_GT(stats.zeroUnitAccepted, 0);
 }
 
 TEST(Incremental, CommInfoUpdateMatchesRescanOnRandomMoves)
