@@ -82,8 +82,7 @@
  *    consumption cursor is per batch, shared by all handle copies.
  *  - **JobView.** `job(i)` snapshots one job's terminal state -
  *    outcome, error text, and a pointer to its result - in one call;
- *    it is what callbacks receive. The legacy `ran(i)`/`outcome(i)`/
- *    `errorOf(i)` accessors are deprecated thin delegates over it.
+ *    it is what callbacks receive, and the only per-job accessor.
  *
  * ## Determinism
  *
@@ -403,7 +402,7 @@ class Frontier
 
         const CompileResult *result = nullptr;
 
-        /** True when the job completed Ok (the legacy ran() bit). */
+        /** True when the job completed Ok. */
         bool ran() const { return outcome == JobOutcome::Ok; }
     };
 
@@ -520,33 +519,6 @@ class Frontier
          * runs - the move invalidates what they hold.
          */
         std::vector<CompileResult> take();
-
-        /**
-         * @deprecated Legacy per-job surface, kept one more release
-         * as thin delegates over job(i): prefer `job(i).ran()` /
-         * `.outcome` / `.error`. In-repo callers are migrated; the
-         * attribute keeps our own build deprecation-clean.
-         * @throws std::out_of_range when @p i >= size()
-         */
-        [[deprecated("use job(i).ran()")]] bool
-        ran(std::size_t i) const
-        {
-            return job(i).ran();
-        }
-
-        /** @deprecated Use job(i).outcome. */
-        [[deprecated("use job(i).outcome")]] JobOutcome
-        outcome(std::size_t i) const
-        {
-            return job(i).outcome;
-        }
-
-        /** @deprecated Use job(i).error. */
-        [[deprecated("use job(i).error")]] std::string
-        errorOf(std::size_t i) const
-        {
-            return job(i).error;
-        }
 
         /**
          * Cooperatively cancel: jobs nobody claimed yet are dropped;

@@ -1,25 +1,21 @@
 #include "workloads/suite_io.hh"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
-#include "support/trace.hh"
 #include <exception>
 #include <fstream>
 #include <mutex>
 #include <thread>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define CVLIW_SUITE_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#else
-#define CVLIW_SUITE_HAVE_MMAP 0
-#endif
-
 #include "support/fnv.hh"
 #include "support/logging.hh"
+#include "support/trace.hh"
 
 // Baked-in cache location (the build directory's generated cache);
 // overridable per-process with the CVLIW_SUITE_CACHE environment
@@ -40,14 +36,11 @@ constexpr char kMagic[8] = {'C', 'V', 'S', 'U', 'I', 'T', 'E', '\0'};
 // serial multiply chain was the bottleneck of cache opens); 3 = POD
 // node/edge records matching DdgNode/DdgEdge byte-for-byte plus a
 // per-record label blob, and per-record digests in the index table
-// so opens validate only header + index and each record is verified
-// lazily when touched.
+// so each record is verified on its own (and records parse in
+// parallel).
 constexpr std::uint32_t kVersion = 3;
 constexpr std::uint32_t kEndianTag = 0x01020304u;
 
-// Fixed header bytes before the index table (magic + version +
-// endianTag + seed + loopCount + payloadSize + indexFnv).
-constexpr std::uint64_t kHeaderBytes = 8 + 4 + 4 + 8 + 4 + 8 + 8;
 // Index table entry: u64 record offset + u64 record digest.
 constexpr std::uint64_t kIndexEntryBytes = 16;
 // On-disk node/edge records are the in-memory PODs; ddg.hh's
@@ -165,12 +158,6 @@ struct Reader
         return data[pos++];
     }
 
-    void skip(std::size_t n)
-    {
-        need(n);
-        pos += n;
-    }
-
     std::uint32_t u32()
     {
         need(4);
@@ -205,9 +192,6 @@ struct Reader
         pos += n;
         return s;
     }
-
-    /** Skip a length-prefixed string without materializing it. */
-    void skipStr() { skip(u32()); }
 };
 
 /**
@@ -450,6 +434,55 @@ deserializeLoop(Reader &r)
     return loop;
 }
 
+/**
+ * A suite file mapped read-only for the span of one loadSuite call:
+ * records parse straight out of the page cache with no bulk copy.
+ * Anything that is not a mappable, non-empty regular file (a missing
+ * path, a directory, an empty file, a failed map) is a SuiteIoError.
+ */
+class MappedFile
+{
+  public:
+    explicit MappedFile(const std::string &path)
+    {
+        const char *why = nullptr;
+        const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+        struct stat st {};
+        if (fd < 0 || ::fstat(fd, &st) != 0) {
+            why = std::strerror(errno);
+        } else if (!S_ISREG(st.st_mode)) {
+            why = "not a regular file";
+        } else if (st.st_size == 0) {
+            why = "empty file";
+        } else {
+            size_ = static_cast<std::size_t>(st.st_size);
+            base_ = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
+            if (base_ == MAP_FAILED) {
+                base_ = nullptr;
+                why = std::strerror(errno);
+            }
+        }
+        if (fd >= 0)
+            ::close(fd); // a mapping holds its own file reference
+        if (why)
+            throw SuiteIoError("suite cache '" + path + "': " + why);
+    }
+
+    ~MappedFile() { ::munmap(base_, size_); }
+    MappedFile(const MappedFile &) = delete;
+    MappedFile &operator=(const MappedFile &) = delete;
+
+    const unsigned char *data() const
+    {
+        return static_cast<const unsigned char *>(base_);
+    }
+    std::size_t size() const { return size_; }
+
+  private:
+    void *base_ = nullptr;
+    std::size_t size_ = 0;
+};
+
 } // namespace
 
 namespace suite_v3
@@ -483,8 +516,8 @@ saveSuite(const std::vector<Loop> &suite, const std::string &path,
     trace::TraceSpan span("suite", "save");
     span.arg("loops", static_cast<long long>(suite.size()));
     // Payload plus the per-loop index that makes records
-    // independently addressable (parallel loading, random access) and
-    // independently verifiable (lazy per-record digests).
+    // independently addressable (parallel loading) and independently
+    // verifiable (per-record digests).
     Writer payload;
     std::vector<std::uint64_t> offsets, digests;
     offsets.reserve(suite.size());
@@ -528,140 +561,14 @@ saveSuite(const std::vector<Loop> &suite, const std::string &path,
         throw SuiteIoError("short write to '" + path + "'");
 }
 
-/**
- * Open, validated suite cache bytes: everything loadSuite's header
- * pass used to compute, kept alive so records can be materialized
- * independently (lazily or in parallel).
- *
- * The backing storage is the file mmapped read-only where the
- * platform has mmap (zero-copy: records parse straight out of the
- * page cache, the untouched ones stay clean evictable file pages,
- * and concurrent opens of the same cache share physical memory) and
- * a plain slurp into an owned buffer otherwise - or when
- * CVLIW_SUITE_MMAP=0 forces the fallback. Every consumer reads
- * through data()/dataSize() and cannot tell the two apart.
- */
-struct SuiteCacheFile::Impl
+std::vector<Loop>
+loadSuite(const std::string &path, std::uint64_t *seed_out)
 {
-    std::vector<unsigned char> bytes; //!< slurp fallback storage
-#if CVLIW_SUITE_HAVE_MMAP
-    void *map = nullptr; //!< mmap base, or null when slurped
-    std::size_t mapSize = 0;
-#endif
-    std::vector<std::uint64_t> offsets;
-    std::vector<std::uint64_t> digests; //!< per-record, from the index
-    const unsigned char *payload = nullptr; //!< into data()
-    std::uint64_t payloadSize = 0;
-    std::uint32_t loopCount = 0;
-
-    ~Impl()
-    {
-#if CVLIW_SUITE_HAVE_MMAP
-        if (map)
-            ::munmap(map, mapSize);
-#endif
-    }
-
-    const unsigned char *data() const
-    {
-#if CVLIW_SUITE_HAVE_MMAP
-        if (map)
-            return static_cast<const unsigned char *>(map);
-#endif
-        return bytes.data();
-    }
-
-    std::size_t dataSize() const
-    {
-#if CVLIW_SUITE_HAVE_MMAP
-        if (map)
-            return mapSize;
-#endif
-        return bytes.size();
-    }
-
-    /**
-     * Map @p path read-only. False on any failure (no mmap support,
-     * empty file, unmappable file system): the caller slurps instead.
-     */
-    bool tryMap(const std::string &path)
-    {
-#if CVLIW_SUITE_HAVE_MMAP
-        if (const char *env = std::getenv("CVLIW_SUITE_MMAP")) {
-            if (env[0] == '0' && env[1] == '\0')
-                return false;
-        }
-        const int fd = ::open(path.c_str(), O_RDONLY);
-        if (fd < 0)
-            return false;
-        struct stat st;
-        if (::fstat(fd, &st) != 0 || st.st_size <= 0 ||
-            !S_ISREG(st.st_mode)) {
-            ::close(fd);
-            return false;
-        }
-        void *m = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
-                         PROT_READ, MAP_PRIVATE, fd, 0);
-        ::close(fd); // the mapping holds its own file reference
-        if (m == MAP_FAILED)
-            return false;
-        map = m;
-        mapSize = static_cast<std::size_t>(st.st_size);
-        return true;
-#else
-        (void)path;
-        return false;
-#endif
-    }
-
-    std::uint64_t recordEnd(std::uint32_t i) const
-    {
-        return i + 1 < loopCount ? offsets[i + 1] : payloadSize;
-    }
-
-    /**
-     * Bounds-checked reader over one loop record, verified against
-     * the record's index digest first - the lazy-validation contract:
-     * exactly the bytes a consumer touches get integrity-checked,
-     * exactly when first touched.
-     */
-    Reader record(std::uint32_t i, const std::string &path) const
-    {
-        const std::uint64_t begin = offsets[i];
-        const std::uint64_t end = recordEnd(i);
-        Reader r{payload + begin,
-                 static_cast<std::size_t>(end - begin), path};
-        if (payloadDigest(r.data, r.size) != digests[i]) {
-            r.fail("record " + std::to_string(i) +
-                   " digest mismatch (corrupted file)");
-        }
-        return r;
-    }
-};
-
-SuiteCacheFile::SuiteCacheFile(const std::string &path)
-    : impl_(new Impl), path_(path)
-{
-    Impl &im = *impl_;
-    if (!im.tryMap(path)) {
-        std::ifstream f(path, std::ios::binary | std::ios::ate);
-        if (!f) {
-            throw SuiteIoError("cannot open suite cache '" + path +
-                               "'");
-        }
-        const std::streamsize size = f.tellg();
-        f.seekg(0);
-        im.bytes.resize(static_cast<std::size_t>(size));
-        if (size > 0) {
-            f.read(reinterpret_cast<char *>(im.bytes.data()), size);
-            if (!f)
-                throw SuiteIoError("short read from '" + path + "'");
-        }
-    }
-
-    Reader r{im.data(), im.dataSize(), path_};
+    trace::TraceSpan span("suite", "load");
+    const MappedFile file(path);
+    Reader r{file.data(), file.size(), path};
     r.need(sizeof(kMagic));
-    if (std::memcmp(im.data(), kMagic, sizeof(kMagic)) != 0)
+    if (std::memcmp(file.data(), kMagic, sizeof(kMagic)) != 0)
         r.fail("not a suite cache (bad magic)");
     r.pos = sizeof(kMagic);
     const std::uint32_t version = r.u32();
@@ -672,149 +579,56 @@ SuiteCacheFile::SuiteCacheFile(const std::string &path)
     }
     if (r.u32() != kEndianTag)
         r.fail("foreign-endian file");
-    seed_ = r.u64();
-    im.loopCount = r.u32();
+    const std::uint64_t seed = r.u64();
+    const std::uint32_t loop_count = r.u32();
     const std::uint64_t payload_size = r.u64();
     const std::uint64_t index_digest = r.u64();
+    span.arg("loops", static_cast<long long>(loop_count));
 
     // The header is not covered by the index digest, so bound the
     // index-table allocation by the actual file size before trusting
     // loopCount (a flipped header byte must fail cleanly, not OOM).
-    if (static_cast<std::uint64_t>(im.loopCount) * kIndexEntryBytes >
+    if (static_cast<std::uint64_t>(loop_count) * kIndexEntryBytes >
         r.size - r.pos) {
         r.fail("loop count exceeds the file size");
     }
     // Verify the raw index bytes before parsing them: a flipped
-    // offset or record digest must be caught here, at open, not
-    // laundered into a "corrupt record" error later (or worse, a
-    // whitewashed one).
-    if (payloadDigest(im.data() + r.pos,
-                      static_cast<std::size_t>(im.loopCount) *
+    // offset or record digest must be caught here, not laundered into
+    // a "corrupt record" error later (or worse, a whitewashed one).
+    if (payloadDigest(r.data + r.pos,
+                      static_cast<std::size_t>(loop_count) *
                           kIndexEntryBytes) != index_digest) {
         r.fail("index digest mismatch (corrupted file)");
     }
-    im.offsets.resize(im.loopCount);
-    im.digests.resize(im.loopCount);
-    for (std::uint32_t i = 0; i < im.loopCount; ++i) {
-        im.offsets[i] = r.u64();
-        im.digests[i] = r.u64();
-        if (im.offsets[i] >= payload_size ||
-            (i > 0 && im.offsets[i] <= im.offsets[i - 1]) ||
-            (i == 0 && im.offsets[i] != 0)) {
+    std::vector<std::uint64_t> offsets(loop_count);
+    std::vector<std::uint64_t> digests(loop_count);
+    for (std::uint32_t i = 0; i < loop_count; ++i) {
+        offsets[i] = r.u64();
+        digests[i] = r.u64();
+        if (offsets[i] >= payload_size ||
+            (i > 0 && offsets[i] <= offsets[i - 1]) ||
+            (i == 0 && offsets[i] != 0)) {
             r.fail("corrupt loop offset table");
         }
     }
-
-    im.payload = im.data() + r.pos;
-    im.payloadSize = payload_size;
-    if (im.dataSize() - r.pos != payload_size) {
+    if (r.size - r.pos != payload_size) {
         r.fail("payload size mismatch (header says " +
                std::to_string(payload_size) + ", file holds " +
-               std::to_string(im.dataSize() - r.pos) + ")");
+               std::to_string(r.size - r.pos) + ")");
     }
-    // No whole-payload digest pass: record digests are verified
-    // lazily, each the first time its record is touched. An mmap'd
-    // open therefore faults in only the header + index pages.
-}
-
-SuiteCacheFile::~SuiteCacheFile() = default;
-SuiteCacheFile::SuiteCacheFile(SuiteCacheFile &&) noexcept = default;
-SuiteCacheFile &
-SuiteCacheFile::operator=(SuiteCacheFile &&) noexcept = default;
-
-std::uint32_t
-SuiteCacheFile::loopCount() const
-{
-    return impl_->loopCount;
-}
-
-Loop
-SuiteCacheFile::loadLoop(std::uint32_t record) const
-{
-    const Impl &im = *impl_;
-    if (record >= im.loopCount) {
-        throw SuiteIoError("suite cache '" + path_ + "': record " +
-                           std::to_string(record) +
-                           " out of range (" +
-                           std::to_string(im.loopCount) + " loops)");
-    }
-    Reader rec = im.record(record, path_);
-    Loop loop = deserializeLoop(rec);
-    if (rec.pos != rec.size)
-        rec.fail("loop record has trailing bytes");
-    return loop;
-}
-
-std::vector<SuiteLoopInfo>
-SuiteCacheFile::scan() const
-{
-    const Impl &im = *impl_;
-    std::vector<SuiteLoopInfo> infos(im.loopCount);
-    for (std::uint32_t i = 0; i < im.loopCount; ++i) {
-        // record() digest-verifies each record as the skim touches it
-        // (scan reads every record, so this is a full-payload pass -
-        // the price of returning facts about all of them).
-        Reader rec = im.record(i, path_);
-        SuiteLoopInfo &info = infos[i];
-        info.benchmark = rec.str();
-        info.index = rec.i32();
-        rec.skip(16); // visits + avgIters
-        const std::uint32_t node_slots = rec.u32();
-        rec.skip(8); // edge slot + label byte counts
-        rec.need(static_cast<std::size_t>(node_slots) *
-                 kNodeRecBytes);
-        // Fixed-stride records: the liveness byte sits at offset 20
-        // of each 24-byte node record (see the DdgNode asserts).
-        const unsigned char *q = rec.data + rec.pos;
-        for (std::uint32_t n = 0; n < node_slots; ++n) {
-            if (q[n * kNodeRecBytes + 20])
-                ++info.liveNodes;
-        }
-    }
-    return infos;
-}
-
-std::uint64_t
-SuiteCacheFile::validatedBytesOnOpen() const
-{
-    return kHeaderBytes +
-           static_cast<std::uint64_t>(impl_->loopCount) *
-               kIndexEntryBytes;
-}
-
-std::uint64_t
-SuiteCacheFile::recordBytes(std::uint32_t record) const
-{
-    const Impl &im = *impl_;
-    if (record >= im.loopCount) {
-        throw SuiteIoError("suite cache '" + path_ + "': record " +
-                           std::to_string(record) +
-                           " out of range (" +
-                           std::to_string(im.loopCount) + " loops)");
-    }
-    return im.recordEnd(record) - im.offsets[record];
-}
-
-Loop
-loadSuiteLoop(const std::string &path, std::uint32_t record)
-{
-    return SuiteCacheFile(path).loadLoop(record);
-}
-
-std::vector<Loop>
-loadSuite(const std::string &path, std::uint64_t *seed_out)
-{
-    trace::TraceSpan span("suite", "load");
-    const SuiteCacheFile file(path);
-    span.arg("loops",
-             static_cast<long long>(file.impl_->loopCount));
-    const SuiteCacheFile::Impl &im = *file.impl_;
-    const std::uint32_t loop_count = im.loopCount;
+    const unsigned char *payload = r.data + r.pos;
 
     std::vector<Loop> suite(loop_count);
     auto parseRange = [&](std::uint32_t lo, std::uint32_t hi) {
         for (std::uint32_t i = lo; i < hi; ++i) {
-            Reader rec = im.record(i, path);
+            const std::uint64_t end =
+                i + 1 < loop_count ? offsets[i + 1] : payload_size;
+            Reader rec{payload + offsets[i],
+                       static_cast<std::size_t>(end - offsets[i]), path};
+            if (payloadDigest(rec.data, rec.size) != digests[i]) {
+                rec.fail("record " + std::to_string(i) +
+                         " digest mismatch (corrupted file)");
+            }
             suite[i] = deserializeLoop(rec);
             if (rec.pos != rec.size)
                 rec.fail("loop record has trailing bytes");
@@ -824,7 +638,9 @@ loadSuite(const std::string &path, std::uint64_t *seed_out)
     // Records are independent thanks to the offset table, so large
     // suites parse in parallel; each worker writes disjoint slots.
     // Spawn failures degrade gracefully: chunks whose thread never
-    // started are parsed right here on the calling thread.
+    // started are parsed right here on the calling thread. Every
+    // chunk, the calling thread's included, parks its error until all
+    // workers joined (a throw past a joinable thread would terminate).
     const unsigned hw = std::thread::hardware_concurrency();
     const std::uint32_t per_worker = 128;
     std::uint32_t workers =
@@ -834,6 +650,15 @@ loadSuite(const std::string &path, std::uint64_t *seed_out)
         std::vector<std::thread> pool;
         std::exception_ptr error;
         std::mutex error_mutex;
+        auto guardedRange = [&](std::uint32_t lo, std::uint32_t hi) {
+            try {
+                parseRange(lo, hi);
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(error_mutex);
+                if (!error)
+                    error = std::current_exception();
+            }
+        };
         const std::uint32_t chunk = (loop_count + workers - 1) / workers;
         std::uint32_t spawned = 0;
         try {
@@ -842,15 +667,7 @@ loadSuite(const std::string &path, std::uint64_t *seed_out)
                 const std::uint32_t lo = w * chunk;
                 const std::uint32_t hi =
                     std::min(loop_count, lo + chunk);
-                pool.emplace_back([&, lo, hi]() {
-                    try {
-                        parseRange(lo, hi);
-                    } catch (...) {
-                        std::lock_guard<std::mutex> lock(error_mutex);
-                        if (!error)
-                            error = std::current_exception();
-                    }
-                });
+                pool.emplace_back(guardedRange, lo, hi);
                 ++spawned;
             }
         } catch (...) {
@@ -858,7 +675,7 @@ loadSuite(const std::string &path, std::uint64_t *seed_out)
         }
         for (std::uint32_t i = spawned * chunk; i < loop_count;
              i += chunk) {
-            parseRange(i, std::min(loop_count, i + chunk));
+            guardedRange(i, std::min(loop_count, i + chunk));
         }
         for (auto &t : pool)
             t.join();
@@ -869,7 +686,7 @@ loadSuite(const std::string &path, std::uint64_t *seed_out)
     }
 
     if (seed_out)
-        *seed_out = file.seed();
+        *seed_out = seed;
     return suite;
 }
 

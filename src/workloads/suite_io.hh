@@ -9,12 +9,10 @@
  *
  * All multi-byte fields are little-endian and fixed-width; the layout
  * is a single flat sequence (mmap-friendly: no pointers, no
- * alignment holes that depend on the host). Integrity is *lazy and
- * per-record*: the header and index table carry their own digest,
- * verified at open, and every loop record carries a digest in the
- * index, verified only when that record is touched - an open faults
- * in ~a dozen KB no matter how large the suite is, and untouched
- * records stay clean evictable file pages.
+ * alignment holes that depend on the host). Integrity is
+ * per-record: the header and index table carry their own digest, and
+ * every loop record carries a digest in the index. `loadSuite`
+ * verifies each digest before it parses the bytes it covers.
  *
  * ```
  * header (44 bytes):
@@ -60,11 +58,20 @@
  * clear message - never undefined behaviour. Version bumps are
  * append-only: readers reject versions they do not know (a stale v2
  * cache is rejected at open, and `loadOrBuildSuite` warns once with
- * the path and both versions before regenerating). The offset table
- * makes loop records independently addressable, so big suites
- * deserialize on several threads, and `SuiteCacheFile` materializes
- * single records lazily for binaries that touch a few loops (e.g.
- * perf_micro's sampled benches).
+ * the path and both versions before regenerating).
+ *
+ * ## How loadSuite reads a file
+ *
+ * `loadSuite` is the only reader. It maps the file read-only (POSIX
+ * `mmap`), checks the header, the index digest, the offset table and
+ * the payload size, then verifies each record's digest and parses it.
+ * The offset table makes records independent, so large suites parse
+ * on several threads straight out of the page cache. A directory, an
+ * empty file or a file that cannot be mapped is a `SuiteIoError` like
+ * any other bad input. The mapping lives only for the one call, so
+ * the usual mmap exposure - a file truncated underneath a live
+ * mapping raises SIGBUS - is limited to that one load; the
+ * build-generated cache is write-once.
  *
  * ## Bit-identity contract
  *
@@ -91,7 +98,6 @@
 #define CVLIW_WORKLOADS_SUITE_IO_HH
 
 #include <cstdint>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -122,100 +128,11 @@ void saveSuite(const std::vector<Loop> &suite, const std::string &path,
  * Load a suite saved by saveSuite(). Bit-identical to the generated
  * suite (see the contract above).
  * @param seed_out when non-null, receives the header's seed
- * @throws SuiteIoError on any malformed, truncated or corrupt input
+ * @throws SuiteIoError on any malformed, truncated or corrupt input,
+ *         and on a path that is not a mappable, non-empty regular file
  */
 std::vector<Loop> loadSuite(const std::string &path,
                             std::uint64_t *seed_out = nullptr);
-
-/** Cheap per-record facts readable without building a graph. */
-struct SuiteLoopInfo
-{
-    std::string benchmark; //!< benchmark the loop belongs to
-    int index = 0;         //!< loop index within the benchmark
-    int liveNodes = 0;     //!< live (non-tombstoned) DDG nodes
-};
-
-/**
- * An open, validated suite cache: the constructor parses the header
- * and verifies the index digest - nothing else - after which records
- * are independently addressable through the offset table, each
- * verified against its own digest the first time it is touched
- * (`validatedBytesOnOpen()` reports how little the open checked). The
- * lazy counterpart of `loadSuite` for binaries that touch a few
- * loops: `loadLoop(i)` materializes one record (~1/678 of the parse,
- * validation and allocation work), and `scan()` skims every record's
- * header facts without building any graph. All methods are const; a
- * const SuiteCacheFile is safe to share across threads.
- *
- * Where the platform has mmap the file is mapped read-only instead of
- * slurped: an open faults in only the header + index pages, records
- * parse zero-copy out of the page cache when touched, untouched
- * records cost nothing at all, and concurrent opens of one cache
- * share physical memory. Everywhere else - or with
- * `CVLIW_SUITE_MMAP=0` in the environment - the original whole-file
- * slurp is used; behaviour is identical either way (tests pin both
- * paths). Mapped mode trusts the file not to be truncated while open,
- * like every mmap consumer; the build-generated cache is write-once.
- */
-class SuiteCacheFile
-{
-  public:
-    /** Open and validate @p path. @throws SuiteIoError */
-    explicit SuiteCacheFile(const std::string &path);
-    ~SuiteCacheFile();
-    SuiteCacheFile(SuiteCacheFile &&) noexcept;
-    SuiteCacheFile &operator=(SuiteCacheFile &&) noexcept;
-
-    const std::string &path() const { return path_; }
-    std::uint64_t seed() const { return seed_; }
-    std::uint32_t loopCount() const;
-
-    /**
-     * Materialize record @p record (0-based, in suite order). Fully
-     * validated; bit-identical to `loadSuite(path)[record]`.
-     * @throws SuiteIoError on a bad record index or malformed record
-     */
-    Loop loadLoop(std::uint32_t record) const;
-
-    /**
-     * Skim every record's benchmark, index and live node count -
-     * enough to pick records by name or size before materializing
-     * only the ones needed. O(payload bytes) but allocation-light:
-     * no graphs, no labels, no edge parsing.
-     * @throws SuiteIoError on a malformed record header
-     */
-    std::vector<SuiteLoopInfo> scan() const;
-
-    /**
-     * Bytes the constructor integrity-checked: the fixed header plus
-     * the index table. Everything else is verified lazily, record by
-     * record, as it is touched - the number perf_micro's cold-load
-     * bench reports against the file size.
-     */
-    std::uint64_t validatedBytesOnOpen() const;
-
-    /** Payload bytes of record @p record (index-bounds-checked). */
-    std::uint64_t recordBytes(std::uint32_t record) const;
-
-  private:
-    // loadSuite shares the validated byte buffer for its parallel
-    // whole-suite parse instead of re-validating per record.
-    friend std::vector<Loop> loadSuite(const std::string &,
-                                       std::uint64_t *);
-
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
-    std::string path_;
-    std::uint64_t seed_ = 0;
-};
-
-/**
- * Convenience single-record load: open + validate @p path and
- * materialize just record @p record. Callers loading several records
- * should hold a `SuiteCacheFile` instead (one validation pass).
- * @throws SuiteIoError
- */
-Loop loadSuiteLoop(const std::string &path, std::uint32_t record);
 
 /**
  * The suite cache path binaries should try first: the

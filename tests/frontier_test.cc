@@ -181,21 +181,6 @@ TEST(Frontier, OutOfRangeJobIndexThrows)
     EXPECT_THROW(handle.job(jobs.size()), std::out_of_range);
     EXPECT_THROW(handle.job(jobs.size() + 100), std::out_of_range);
 
-    // The deprecated delegates stay range-checked and equivalent to
-    // job(i) until their removal release; this is their one retained
-    // regression test - everything else uses job(i).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    EXPECT_THROW(handle.ran(jobs.size()), std::out_of_range);
-    EXPECT_THROW(handle.outcome(jobs.size()), std::out_of_range);
-    EXPECT_THROW(handle.errorOf(jobs.size()), std::out_of_range);
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        EXPECT_EQ(handle.ran(i), handle.job(i).ran());
-        EXPECT_EQ(handle.outcome(i), handle.job(i).outcome);
-        EXPECT_EQ(handle.errorOf(i), handle.job(i).error);
-    }
-#pragma GCC diagnostic pop
-
     // In-range accessors still work on the same handle afterwards.
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         EXPECT_TRUE(handle.job(i).ran());

@@ -77,17 +77,6 @@ TEST(ModeComparison, MacroNodeCostsAtLeastAsMuch)
               static_cast<double>(min_replicas) / min_removed);
 }
 
-TEST(Logging, VerbositySwitch)
-{
-    // inform() must be silent by default and must not crash when
-    // enabled.
-    setVerboseLogging(true);
-    cv_inform("coverage message ", 42);
-    setVerboseLogging(false);
-    cv_inform("suppressed");
-    SUCCEED();
-}
-
 TEST(Logging, LevelsAndCallCounting)
 {
     // Every cv_warn/cv_inform *call* is counted, printed or not -

@@ -3,15 +3,16 @@
  * Suite serialization tests (workloads/suite_io.hh): a save->load
  * round trip is bit-identical to the generated suite on every Loop
  * field (including tombstoned slots and adjacency order), the header
- * seed round-trips, and malformed files - truncated at any point,
- * corrupted payload bytes, bad magic, unsupported version, trailing
- * garbage - are rejected with a clear SuiteIoError instead of
- * undefined behaviour.
+ * seed round-trips, and malformed inputs - a directory, an empty
+ * file, truncation at any point, corrupted payload bytes, bad magic,
+ * unsupported version, trailing garbage - are rejected with a clear
+ * SuiteIoError instead of undefined behaviour.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -116,6 +117,31 @@ expectSuitesIdentical(const std::vector<Loop> &a,
     }
 }
 
+/**
+ * Flip one bit in the middle of the middle loop record of the suite
+ * file at @p file, leaving the header and index intact; returns the
+ * record's number.
+ */
+std::uint32_t
+corruptMiddleRecord(const TempFile &file)
+{
+    auto bytes = file.bytes();
+    // loopCount follows magic(8) + version(4) + endian(4) + seed(8);
+    // the 44-byte header is followed by 16 bytes of index per loop,
+    // each entry starting with the record's payload offset.
+    std::uint32_t loops = 0;
+    std::memcpy(&loops, bytes.data() + 24, sizeof(loops));
+    EXPECT_GE(loops, 3u);
+    const std::uint32_t k = loops / 2;
+    const std::size_t payload = 44 + 16 * std::size_t{loops};
+    std::uint64_t begin = 0, end = 0;
+    std::memcpy(&begin, bytes.data() + 44 + 16 * k, sizeof(begin));
+    std::memcpy(&end, bytes.data() + 44 + 16 * (k + 1), sizeof(end));
+    bytes[payload + (begin + end) / 2] ^= 0x04;
+    file.write(bytes);
+    return k;
+}
+
 TEST(SuiteIo, RoundTripIsBitIdenticalToBuildSuite)
 {
     const auto built = buildSuite(42);
@@ -205,58 +231,9 @@ TEST(SuiteIo, RejectsMissingFile)
 {
     EXPECT_THROW(loadSuite("/nonexistent/no/such.cvsuite"),
                  SuiteIoError);
-    EXPECT_THROW(loadSuiteLoop("/nonexistent/no/such.cvsuite", 0),
-                 SuiteIoError);
-}
-
-TEST(SuiteIo, LazySingleLoopLoadMatchesFullLoad)
-{
-    const auto built = buildBenchmark("applu");
-    TempFile file("lazy.cvsuite");
-    saveSuite(built, file.path(), 42);
-
-    const SuiteCacheFile cache(file.path());
-    EXPECT_EQ(cache.seed(), 42u);
-    ASSERT_EQ(cache.loopCount(), built.size());
-
-    // Every record materialized alone (first, middle, last) is
-    // bit-identical to the same slot of the eager load.
-    for (std::uint32_t i :
-         {std::uint32_t{0},
-          static_cast<std::uint32_t>(built.size() / 2),
-          static_cast<std::uint32_t>(built.size() - 1)}) {
-        const Loop lazy = cache.loadLoop(i);
-        SCOPED_TRACE("record " + std::to_string(i));
-        EXPECT_EQ(lazy.benchmark, built[i].benchmark);
-        EXPECT_EQ(lazy.index, built[i].index);
-        EXPECT_EQ(lazy.profile.visits, built[i].profile.visits);
-        expectDdgIdentical(built[i].ddg, lazy.ddg);
-    }
-
-    // The one-shot convenience agrees.
-    const Loop one = loadSuiteLoop(file.path(), 1);
-    EXPECT_EQ(one.benchmark, built[1].benchmark);
-    expectDdgIdentical(built[1].ddg, one.ddg);
-
-    EXPECT_THROW(cache.loadLoop(cache.loopCount()), SuiteIoError);
-}
-
-TEST(SuiteIo, ScanSkimsRecordFactsWithoutGraphs)
-{
-    const auto built = buildSuite(42);
-    TempFile file("scan.cvsuite");
-    saveSuite(built, file.path(), 42);
-
-    const SuiteCacheFile cache(file.path());
-    const auto infos = cache.scan();
-    ASSERT_EQ(infos.size(), built.size());
-    for (std::size_t i = 0; i < built.size(); ++i) {
-        EXPECT_EQ(infos[i].benchmark, built[i].benchmark)
-            << "record " << i;
-        EXPECT_EQ(infos[i].index, built[i].index) << "record " << i;
-        EXPECT_EQ(infos[i].liveNodes, built[i].ddg.numNodes())
-            << "record " << i;
-    }
+    // A directory opens read-only but holds no suite: a typed error
+    // like any other bad input.
+    EXPECT_THROW(loadSuite(::testing::TempDir()), SuiteIoError);
 }
 
 TEST(SuiteIo, RejectsTruncationAtEveryRegion)
@@ -266,10 +243,10 @@ TEST(SuiteIo, RejectsTruncationAtEveryRegion)
     saveSuite(built, file.path(), 42);
     const auto bytes = file.bytes();
 
-    // Mid-magic, mid-header, mid-offset-table, mid-payload, one byte
-    // short of complete.
+    // Empty, mid-magic, mid-header, mid-offset-table, mid-payload, one
+    // byte short of complete.
     for (std::size_t cut :
-         {std::size_t{3}, std::size_t{17}, std::size_t{50},
+         {std::size_t{0}, std::size_t{3}, std::size_t{17}, std::size_t{50},
           bytes.size() / 2, bytes.size() - 1}) {
         ASSERT_LT(cut, bytes.size());
         TempFile cut_file("trunc_cut.cvsuite");
@@ -299,51 +276,18 @@ TEST(SuiteIo, RejectsCorruptedPayload)
                   std::string::npos)
             << err.what();
     }
-}
 
-TEST(SuiteIo, OpenIsLazyAndValidatesOnlyTouchedRecords)
-{
-    // v3 contract: the constructor checks only the header and index
-    // table; each record's digest is verified the first time that
-    // record is touched. A corrupt record must not fail the open or
-    // poison its neighbours.
-    const auto built = buildBenchmark("applu");
-    ASSERT_GE(built.size(), 2u);
-    TempFile file("lazyvalidate.cvsuite");
-    saveSuite(built, file.path(), 42);
-    auto bytes = file.bytes();
-
-    std::uint64_t payload_start = 0;
-    std::uint64_t rec0_bytes = 0;
-    {
-        const SuiteCacheFile cache(file.path());
-        payload_start = cache.validatedBytesOnOpen();
-        // header(44) + 16 bytes of index per record - a sliver of
-        // the file.
-        EXPECT_EQ(payload_start, 44u + 16u * cache.loopCount());
-        EXPECT_LT(payload_start, bytes.size() / 4);
-        rec0_bytes = cache.recordBytes(0);
-        std::uint64_t total = 0;
-        for (std::uint32_t i = 0; i < cache.loopCount(); ++i)
-            total += cache.recordBytes(i);
-        EXPECT_EQ(payload_start + total, bytes.size());
-        EXPECT_THROW(cache.recordBytes(cache.loopCount()),
-                     SuiteIoError);
-    }
-
-    // Flip a bit in the middle of record 0 only.
-    bytes[payload_start + rec0_bytes / 2] ^= 0x04;
-    file.write(bytes);
-
-    const SuiteCacheFile cache(file.path()); // open still succeeds
-    const Loop ok = cache.loadLoop(1);       // untouched record: fine
-    EXPECT_EQ(ok.benchmark, built[1].benchmark);
-    expectDdgIdentical(ok.ddg, built[1].ddg);
+    // A corrupt record in the middle of the whole suite (large enough
+    // to parse on several threads on a multi-core host) fails the
+    // whole load, and the error names the record.
+    saveSuite(buildSuite(42), file.path(), 42);
+    const std::uint32_t bad = corruptMiddleRecord(file);
     try {
-        cache.loadLoop(0);
-        FAIL() << "corrupt record was accepted";
+        loadSuite(file.path());
+        FAIL() << "corrupted middle record was accepted";
     } catch (const SuiteIoError &err) {
-        EXPECT_NE(std::string(err.what()).find("digest"),
+        EXPECT_NE(std::string(err.what()).find(
+                      "record " + std::to_string(bad) + " digest"),
                   std::string::npos)
             << err.what();
     }
@@ -443,47 +387,23 @@ TEST(SuiteIo, RejectsTrailingGarbage)
     EXPECT_THROW(loadSuite(file.path()), SuiteIoError);
 }
 
-TEST(SuiteIo, MmapAndSlurpBackendsAgree)
-{
-    // SuiteCacheFile maps the file where it can; CVLIW_SUITE_MMAP=0
-    // forces the slurp fallback. Both backends must produce
-    // bit-identical loops, facts and rejections.
-    const auto built = buildBenchmark("applu");
-    TempFile file("backends.cvsuite");
-    saveSuite(built, file.path(), 42);
-
-    const auto mapped = loadSuite(file.path());
-    setenv("CVLIW_SUITE_MMAP", "0", 1);
-    const auto slurped = loadSuite(file.path());
-    const SuiteCacheFile slurp_cache(file.path());
-    unsetenv("CVLIW_SUITE_MMAP");
-    const SuiteCacheFile map_cache(file.path());
-
-    expectSuitesIdentical(mapped, slurped);
-    ASSERT_EQ(map_cache.loopCount(), slurp_cache.loopCount());
-    const Loop a = map_cache.loadLoop(1);
-    const Loop b = slurp_cache.loadLoop(1);
-    EXPECT_EQ(a.benchmark, b.benchmark);
-    expectDdgIdentical(a.ddg, b.ddg);
-
-    // Corruption is rejected identically through both backends.
-    auto bytes = file.bytes();
-    bytes[bytes.size() - 20] ^= 0x10;
-    file.write(bytes);
-    EXPECT_THROW(loadSuite(file.path()), SuiteIoError);
-    setenv("CVLIW_SUITE_MMAP", "0", 1);
-    EXPECT_THROW(loadSuite(file.path()), SuiteIoError);
-    unsetenv("CVLIW_SUITE_MMAP");
-}
-
 TEST(SuiteIo, LoadOrBuildFallsBackOnBadCache)
 {
+    const auto built = buildSuite(42);
     TempFile file("badcache.cvsuite");
     file.write({'n', 'o', 't', ' ', 'a', ' ', 'c', 'a', 'c', 'h', 'e'});
-    setenv("CVLIW_SUITE_CACHE", file.path().c_str(), 1);
-    const auto suite = loadOrBuildSuite(42);
-    unsetenv("CVLIW_SUITE_CACHE");
-    EXPECT_EQ(suite.size(), buildSuite(42).size());
+    TempFile corrupt("badcache_record.cvsuite");
+    saveSuite(built, corrupt.path(), 42);
+    corruptMiddleRecord(corrupt);
+
+    for (const std::string &path :
+         {file.path(), corrupt.path(), ::testing::TempDir()}) {
+        SCOPED_TRACE(path);
+        setenv("CVLIW_SUITE_CACHE", path.c_str(), 1);
+        const auto suite = loadOrBuildSuite(42);
+        unsetenv("CVLIW_SUITE_CACHE");
+        expectSuitesIdentical(built, suite);
+    }
 }
 
 TEST(SuiteIo, LoadOrBuildUsesEnvCache)
