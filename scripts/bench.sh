@@ -17,14 +17,21 @@
 # recorded on comparable hardware; CI re-baselines first for that
 # reason.
 #
+# Every benchmark runs three repetitions. Its entry stores the median
+# real time ("real_time", what the speedups and the gate read), the
+# coefficient of variation across the repetitions ("cv") and the
+# median of each user counter: a single round on a shared host swings
+# past 10% on benches whose code did not change, the median of three
+# does far less.
+#
 # Each benchmark's user counters are kept in the file next to its
 # time. Some counters are pinned to an exact value because they are
 # behaviour, not speed: the urgent batch overtakes the background one
 # (BM_FrontierMixedTenants overtake == 1), the background tenant is
 # never starved (BM_FrontierStarvation starved == 0), and a storm of
 # identical jobs compiles once (BM_DedupStorm compiles_per_batch ==
-# 1). --gate also fails when a pinned counter is violated or missing,
-# whatever the timing ratio.
+# 1). --gate also fails when a pinned counter is violated or missing
+# in any repetition, whatever the timing ratio.
 #
 # Usage: scripts/bench.sh [--rebaseline] [--min-time SECONDS]
 #                         [--gate RATIO]
@@ -38,6 +45,7 @@ raw_json="${build_dir}/perf_micro_raw.json"
 
 rebaseline=0
 min_time=0.2
+repetitions=3
 gate=""
 while [[ $# -gt 0 ]]; do
     case "$1" in
@@ -60,10 +68,12 @@ fi
 
 "${build_dir}/perf_micro" \
     --benchmark_format=json \
-    --benchmark_min_time="${min_time}" > "${raw_json}"
+    --benchmark_min_time="${min_time}" \
+    --benchmark_repetitions="${repetitions}" > "${raw_json}"
 
 python3 - "$raw_json" "$out_json" "$rebaseline" "$gate" <<'PY'
 import json
+import statistics
 import sys
 
 raw_path, out_path, rebaseline = sys.argv[1], sys.argv[2], sys.argv[3] == "1"
@@ -80,19 +90,42 @@ STANDARD_FIELDS = {
     "aggregate_unit",
 }
 
-current = {}
+# The repetitions of each benchmark, in run order. google-benchmark's
+# own aggregates (mean, median, stddev, cv) are recomputed here.
+runs = {}
 for b in raw["benchmarks"]:
     if b.get("run_type", "iteration") != "iteration":
         continue
-    entry = {"real_time": b["real_time"], "time_unit": b["time_unit"]}
-    counters = {
+    runs.setdefault(b.get("run_name", b["name"]), []).append(b)
+
+
+def counters_of(b):
+    return {
         k: v for k, v in b.items()
         if k not in STANDARD_FIELDS and isinstance(v, (int, float))
         and not isinstance(v, bool)
     }
+
+
+current = {}
+for name, reps in runs.items():
+    times = [b["real_time"] for b in reps]
+    mean = statistics.fmean(times)
+    entry = {
+        "real_time": statistics.median(times),
+        "time_unit": reps[0]["time_unit"],
+        "repetitions": len(reps),
+        "cv": round(statistics.pstdev(times) / mean, 4) if mean > 0
+        else 0.0,
+    }
+    per_rep = [counters_of(b) for b in reps]
+    counters = {
+        k: statistics.median(c[k] for c in per_rep if k in c)
+        for k in per_rep[0]
+    }
     if counters:
         entry["counters"] = counters
-    current[b["name"]] = entry
+    current[name] = entry
 
 # (benchmark family, counter) -> the value it must have.
 PINNED = {
@@ -141,19 +174,23 @@ doc = {
 json.dump(doc, open(out_path, "w"), indent=2, sort_keys=True)
 print(f"wrote {out_path}")
 for name in sorted(speedup):
-    print(f"  {name}: {speedup[name]}x vs baseline")
+    print(f"  {name}: {speedup[name]}x vs baseline "
+          f"(median of {current[name]['repetitions']}, "
+          f"cv {current[name]['cv']:.3f})")
 
 if gate is not None:
     broken = []
     for (family, counter), want in sorted(PINNED.items()):
-        runs = [(name, entry) for name, entry in current.items()
-                if name.split("/")[0] == family]
-        if not runs:
+        family_runs = [(name, reps) for name, reps in runs.items()
+                       if name.split("/")[0] == family]
+        if not family_runs:
             broken.append(f"{family}: not run, {counter} unchecked")
-        for name, entry in runs:
-            got = entry.get("counters", {}).get(counter)
-            if got is None or abs(got - want) > 1e-9:
-                broken.append(f"{name}: {counter} = {got}, pinned {want}")
+        for name, reps in family_runs:
+            for i, b in enumerate(reps):
+                got = counters_of(b).get(counter)
+                if got is None or abs(got - want) > 1e-9:
+                    broken.append(f"{name} (repetition {i}): "
+                                  f"{counter} = {got}, pinned {want}")
     if broken:
         print("FAIL: pinned counters violated:")
         for line in broken:
@@ -171,9 +208,11 @@ if gate is not None:
     slow = {n: s for n, s in speedup.items()
             if s < gate and coarse(n)}
     if slow:
-        print(f"FAIL: benchmarks regressed past the {gate}x gate:")
+        print(f"FAIL: benchmark medians regressed past the {gate}x "
+              "gate:")
         for name in sorted(slow):
             print(f"  {name}: {slow[name]}x vs baseline")
         sys.exit(1)
-    print(f"gate ok: no >=1ms benchmark below {gate}x of baseline")
+    print(f"gate ok: no >=1ms benchmark's median below {gate}x of "
+          "baseline")
 PY

@@ -103,7 +103,7 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
     deadline.checkpoint("compile entry");
 
     CompileResult result;
-    result.mii = minimumIi(original, mach);
+    result.mii = minimumIi(original, mach, &caches.sched.analyses);
     result.usefulOps = original.numNodes();
 
     const auto finish_telemetry = [&] {
@@ -135,7 +135,8 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
     // graph carries the same generation stamp (e.g. unified machines,
     // where no replication or copy insertion ever edits the work
     // copy) reuse the SMS order, node times and topological order
-    // wholesale.
+    // wholesale, and the SCCs and per-component RecMII that
+    // minimumIi left there above.
     SchedulerCache &sched_cache = caches.sched;
 
     int reg_stagnation = 0;

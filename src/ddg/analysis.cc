@@ -8,58 +8,88 @@
 namespace cvliw
 {
 
-std::vector<NodeId>
-topoOrder(const Ddg &ddg)
+namespace
 {
-    std::vector<int> indeg(ddg.numNodeSlots(), 0);
+
+/** topoOrder into @p order, on reused buffers. */
+void
+topoOrderInto(const Ddg &ddg, AnalysisCache::Scratch &scratch,
+              std::vector<NodeId> &order)
+{
+    // Sized up front (each node is ready and ordered once) and
+    // walked through raw pointers, which stay in registers across
+    // the out-of-line graph accessors.
+    const int num_nodes = ddg.numNodes();
+    scratch.indeg.assign(ddg.numNodeSlots(), 0);
+    scratch.ready.resize(num_nodes);
+    order.resize(num_nodes);
+    int *const indeg = scratch.indeg.data();
+    NodeId *const ready = scratch.ready.data();
+    NodeId *const out = order.data();
     for (EdgeId eid : ddg.edges()) {
         const DdgEdge &e = ddg.edge(eid);
         if (e.distance == 0)
             ++indeg[e.dst];
     }
 
-    std::vector<NodeId> ready;
+    int num_ready = 0;
     for (NodeId n : ddg.nodes()) {
         if (indeg[n] == 0)
-            ready.push_back(n);
+            ready[num_ready++] = n;
     }
 
-    std::vector<NodeId> order;
-    order.reserve(ddg.numNodes());
-    while (!ready.empty()) {
-        NodeId n = ready.back();
-        ready.pop_back();
-        order.push_back(n);
+    int ordered = 0;
+    while (num_ready > 0) {
+        const NodeId n = ready[--num_ready];
+        out[ordered++] = n;
         for (EdgeId eid : ddg.outEdgesRaw(n)) {
             const DdgEdge &e = ddg.edge(eid);
             if (e.alive && e.distance == 0 && --indeg[e.dst] == 0)
-                ready.push_back(e.dst);
+                ready[num_ready++] = e.dst;
         }
     }
 
-    if (static_cast<int>(order.size()) != ddg.numNodes()) {
+    if (ordered != num_nodes) {
         throw InvalidDdg("distance-0 subgraph has a cycle (" +
-                         std::to_string(order.size()) + " of " +
-                         std::to_string(ddg.numNodes()) +
+                         std::to_string(ordered) + " of " +
+                         std::to_string(num_nodes) +
                          " nodes ordered)");
     }
+}
+
+} // namespace
+
+std::vector<NodeId>
+topoOrder(const Ddg &ddg)
+{
+    AnalysisCache::Scratch scratch;
+    std::vector<NodeId> order;
+    topoOrderInto(ddg, scratch, order);
     return order;
 }
 
 namespace
 {
 
-/** computeTimes over a precomputed topological order. */
-NodeTimes
+/**
+ * computeTimes over a precomputed topological order, refilling @p t
+ * in place.
+ */
+void
 computeTimesOrdered(const Ddg &ddg, const MachineConfig &mach,
-                    const std::vector<NodeId> &order)
+                    const std::vector<NodeId> &order, NodeTimes &t)
 {
-    NodeTimes t;
     const int slots = ddg.numNodeSlots();
     t.asap.assign(slots, 0);
     t.alap.assign(slots, 0);
     t.height.assign(slots, 0);
     t.depth.assign(slots, 0);
+    // Raw pointers stay in registers across the out-of-line graph
+    // accessors.
+    int *const asap = t.asap.data();
+    int *const alap = t.alap.data();
+    int *const height = t.height.data();
+    int *const depth = t.depth.data();
 
     // Forward pass: ASAP and depth.
     for (NodeId n : order) {
@@ -68,33 +98,33 @@ computeTimesOrdered(const Ddg &ddg, const MachineConfig &mach,
             if (!e.alive || e.distance != 0)
                 continue;
             const int lat = ddg.edgeLatency(eid, mach);
-            t.asap[n] = std::max(t.asap[n], t.asap[e.src] + lat);
-            t.depth[n] = std::max(t.depth[n], t.depth[e.src] + lat);
+            asap[n] = std::max(asap[n], asap[e.src] + lat);
+            depth[n] = std::max(depth[n], depth[e.src] + lat);
         }
     }
 
     // Schedule length: all results produced.
+    int length = 0;
     for (NodeId n : order) {
         const int lat = mach.latency(ddg.node(n).cls);
-        t.length = std::max(t.length, t.asap[n] + lat);
+        length = std::max(length, asap[n] + lat);
     }
+    t.length = length;
 
     // Backward pass: ALAP and height.
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
         const NodeId n = *it;
         const int lat = mach.latency(ddg.node(n).cls);
-        t.alap[n] = t.length - lat;
+        alap[n] = length - lat;
         for (EdgeId eid : ddg.outEdgesRaw(n)) {
             const DdgEdge &e = ddg.edge(eid);
             if (!e.alive || e.distance != 0)
                 continue;
             const int elat = ddg.edgeLatency(eid, mach);
-            t.alap[n] = std::min(t.alap[n], t.alap[e.dst] - elat);
-            t.height[n] = std::max(t.height[n], t.height[e.dst] + elat);
+            alap[n] = std::min(alap[n], alap[e.dst] - elat);
+            height[n] = std::max(height[n], height[e.dst] + elat);
         }
     }
-
-    return t;
 }
 
 } // namespace
@@ -102,44 +132,59 @@ computeTimesOrdered(const Ddg &ddg, const MachineConfig &mach,
 NodeTimes
 computeTimes(const Ddg &ddg, const MachineConfig &mach)
 {
-    return computeTimesOrdered(ddg, mach, topoOrder(ddg));
+    NodeTimes t;
+    computeTimesOrdered(ddg, mach, topoOrder(ddg), t);
+    return t;
 }
 
-std::vector<int>
-stronglyConnectedComponents(const Ddg &ddg)
+namespace
+{
+
+/**
+ * Tarjan's SCCs into @p comp (see stronglyConnectedComponents), on
+ * reused buffers.
+ */
+void
+sccInto(const Ddg &ddg, AnalysisCache::Scratch &scratch,
+        std::vector<int> &comp)
 {
     const int slots = ddg.numNodeSlots();
-    std::vector<int> index(slots, -1), lowlink(slots, -1);
-    std::vector<int> comp(slots, -1);
-    std::vector<bool> on_stack(slots, false);
-    std::vector<NodeId> stack;
+    // Every node enters the component stack and the DFS stack once,
+    // so both are sized up front, and the loops below work on raw
+    // pointers: they stay in registers across the out-of-line graph
+    // accessors, which vector references into the scratch would not.
+    scratch.index.assign(slots, -1);
+    scratch.lowlink.assign(slots, -1);
+    scratch.stack.resize(slots);
+    scratch.dfs.resize(slots);
+    comp.assign(slots, -1);
+    int *const index = scratch.index.data();
+    int *const lowlink = scratch.lowlink.data();
+    int *const cmp = comp.data();
+    NodeId *const stack = scratch.stack.data();
+    AnalysisCache::Scratch::Frame *const dfs = scratch.dfs.data();
+    int stack_top = 0, dfs_top = 0;
     int next_index = 0;
     int next_comp = 0;
 
     // Iterative DFS to avoid deep recursion on long chains. Each
     // frame walks the node's raw out-span directly (the graph is not
     // mutated here, so borrowed spans are safe) - no per-frame
-    // successor copies, dead edges skipped at the fetch.
-    struct Frame
-    {
-        NodeId n;
-        const EdgeId *it, *end;
-    };
-
-    std::vector<Frame> dfs;
+    // successor copies, dead edges skipped at the fetch. A node is on
+    // the component stack exactly while it has an index but no
+    // component yet.
     for (NodeId root : ddg.nodes()) {
         if (index[root] != -1)
             continue;
         auto push = [&](NodeId n) {
             index[n] = lowlink[n] = next_index++;
-            stack.push_back(n);
-            on_stack[n] = true;
+            stack[stack_top++] = n;
             const EdgeSpan out = ddg.outEdgesRaw(n);
-            dfs.push_back({n, out.begin(), out.end()});
+            dfs[dfs_top++] = {n, out.begin(), out.end()};
         };
         push(root);
-        while (!dfs.empty()) {
-            Frame &f = dfs.back();
+        while (dfs_top > 0) {
+            AnalysisCache::Scratch::Frame &f = dfs[dfs_top - 1];
             if (f.it != f.end) {
                 const DdgEdge &e = ddg.edge(*f.it);
                 ++f.it;
@@ -148,31 +193,39 @@ stronglyConnectedComponents(const Ddg &ddg)
                 const NodeId s = e.dst;
                 if (index[s] == -1) {
                     push(s);
-                } else if (on_stack[s]) {
+                } else if (cmp[s] == -1) {
                     lowlink[f.n] = std::min(lowlink[f.n], index[s]);
                 }
             } else {
-                if (lowlink[f.n] == index[f.n]) {
-                    // f.n is an SCC root; pop its component.
-                    while (true) {
-                        NodeId w = stack.back();
-                        stack.pop_back();
-                        on_stack[w] = false;
-                        comp[w] = next_comp;
-                        if (w == f.n)
-                            break;
-                    }
+                const NodeId done = f.n;
+                if (lowlink[done] == index[done]) {
+                    // done is an SCC root; pop its component.
+                    NodeId w;
+                    do {
+                        w = stack[--stack_top];
+                        cmp[w] = next_comp;
+                    } while (w != done);
                     ++next_comp;
                 }
-                NodeId done = f.n;
-                dfs.pop_back();
-                if (!dfs.empty()) {
-                    lowlink[dfs.back().n] =
-                        std::min(lowlink[dfs.back().n], lowlink[done]);
+                --dfs_top;
+                if (dfs_top > 0) {
+                    const NodeId parent = dfs[dfs_top - 1].n;
+                    lowlink[parent] =
+                        std::min(lowlink[parent], lowlink[done]);
                 }
             }
         }
     }
+}
+
+} // namespace
+
+std::vector<int>
+stronglyConnectedComponents(const Ddg &ddg)
+{
+    AnalysisCache::Scratch scratch;
+    std::vector<int> comp;
+    sccInto(ddg, scratch, comp);
     return comp;
 }
 
@@ -292,53 +345,82 @@ sccRecMii(const Ddg &ddg, const MachineConfig &mach,
                            static_cast<int>(members.size()), dist);
 }
 
-int
-recurrenceMii(const Ddg &ddg, const MachineConfig &mach)
+namespace
 {
-    // Every cycle lies inside one SCC, so RecMII is the largest
-    // per-component bound. Bucket the intra-component edges by
-    // component (a counting sort), with endpoints renumbered densely
-    // per component so each Bellman-Ford touches only its own nodes.
-    const auto comp = stronglyConnectedComponents(ddg);
+
+/**
+ * RecMII of every component of @p comp into @p rec (see
+ * AnalysisCache::componentRecMii), on reused buffers. Every cycle
+ * lies inside one SCC, so the intra-component edges are bucketed by
+ * component (a counting sort), with endpoints renumbered densely per
+ * component so each Bellman-Ford touches only its own nodes.
+ */
+void
+componentRecMiiInto(const Ddg &ddg, const MachineConfig &mach,
+                    const std::vector<int> &comp,
+                    AnalysisCache::Scratch &scratch,
+                    std::vector<int> &rec)
+{
+    // Raw pointers stay in registers across the out-of-line graph
+    // accessors.
+    const int *const cmp = comp.data();
     int num_comps = 0;
     for (NodeId n : ddg.nodes())
-        num_comps = std::max(num_comps, comp[n] + 1);
+        num_comps = std::max(num_comps, cmp[n] + 1);
 
-    std::vector<int> comp_size(num_comps, 0);
-    std::vector<int> local(ddg.numNodeSlots(), -1);
+    scratch.compSize.assign(num_comps, 0);
+    scratch.local.assign(ddg.numNodeSlots(), -1);
+    scratch.first.assign(num_comps + 1, 0);
+    int *const comp_size = scratch.compSize.data();
+    int *const local = scratch.local.data();
+    int *const first = scratch.first.data();
     for (NodeId n : ddg.nodes())
-        local[n] = comp_size[comp[n]]++;
+        local[n] = comp_size[cmp[n]]++;
 
-    std::vector<int> first(num_comps + 1, 0);
     for (EdgeId eid : ddg.edges()) {
         const DdgEdge &e = ddg.edge(eid);
-        if (comp[e.src] == comp[e.dst])
-            ++first[comp[e.src] + 1];
+        if (cmp[e.src] == cmp[e.dst])
+            ++first[cmp[e.src] + 1];
     }
     for (int c = 0; c < num_comps; ++c)
         first[c + 1] += first[c];
-    std::vector<FlatEdge> edges(first[num_comps]);
-    std::vector<int> fill(first.begin(), first.end() - 1);
+    scratch.edges.resize(first[num_comps]);
+    scratch.fill.assign(first, first + num_comps);
+    FlatEdge *const edges = scratch.edges.data();
+    int *const fill = scratch.fill.data();
     for (EdgeId eid : ddg.edges()) {
         const DdgEdge &e = ddg.edge(eid);
-        if (comp[e.src] == comp[e.dst]) {
-            edges[fill[comp[e.src]]++] = {local[e.src], local[e.dst],
-                                          ddg.edgeLatency(eid, mach),
-                                          e.distance};
+        if (cmp[e.src] == cmp[e.dst]) {
+            edges[fill[cmp[e.src]]++] = {local[e.src], local[e.dst],
+                                         ddg.edgeLatency(eid, mach),
+                                         e.distance};
         }
     }
 
-    int rec = 1;
-    std::vector<long long> dist;
+    rec.assign(num_comps, 0);
     for (int c = 0; c < num_comps; ++c) {
         const auto count =
             static_cast<std::size_t>(first[c + 1] - first[c]);
-        if (count == 0)
-            continue;
-        rec = std::max(rec, componentRecMii(edges.data() + first[c],
-                                            count, comp_size[c], dist));
+        if (count != 0) {
+            rec[c] = componentRecMii(edges + first[c], count,
+                                     comp_size[c], scratch.dist);
+        }
     }
-    return rec;
+}
+
+} // namespace
+
+int
+recurrenceMii(const Ddg &ddg, const MachineConfig &mach,
+              AnalysisCache *cache)
+{
+    AnalysisCache local;
+    const std::vector<int> &rec =
+        (cache ? *cache : local).componentRecMii(ddg, mach);
+    int mii = 1;
+    for (int r : rec)
+        mii = std::max(mii, r);
+    return mii;
 }
 
 std::vector<bool>
@@ -370,7 +452,8 @@ const std::vector<NodeId> &
 AnalysisCache::topo(const Ddg &ddg)
 {
     if (topoGen_ != ddg.generation()) {
-        topo_ = topoOrder(ddg);
+        topoGen_ = 0; // a throwing recomputation leaves no stale hit
+        topoOrderInto(ddg, scratch_, topo_);
         topoGen_ = ddg.generation();
     }
     return topo_;
@@ -380,7 +463,7 @@ const NodeTimes &
 AnalysisCache::times(const Ddg &ddg, const MachineConfig &mach)
 {
     if (timesGen_ != ddg.generation() || timesCfg_ != mach.id()) {
-        times_ = computeTimesOrdered(ddg, mach, topo(ddg));
+        computeTimesOrdered(ddg, mach, topo(ddg), times_);
         timesGen_ = ddg.generation();
         timesCfg_ = mach.id();
     }
@@ -391,10 +474,21 @@ const std::vector<int> &
 AnalysisCache::scc(const Ddg &ddg)
 {
     if (sccGen_ != ddg.generation()) {
-        scc_ = stronglyConnectedComponents(ddg);
+        sccInto(ddg, scratch_, scc_);
         sccGen_ = ddg.generation();
     }
     return scc_;
+}
+
+const std::vector<int> &
+AnalysisCache::componentRecMii(const Ddg &ddg, const MachineConfig &mach)
+{
+    if (recGen_ != ddg.generation() || recCfg_ != mach.id()) {
+        componentRecMiiInto(ddg, mach, scc(ddg), scratch_, recMii_);
+        recGen_ = ddg.generation();
+        recCfg_ = mach.id();
+    }
+    return recMii_;
 }
 
 } // namespace cvliw

@@ -42,6 +42,18 @@ class InvalidDdg : public std::invalid_argument
 };
 
 /**
+ * A machine that cannot run the loop at all: the loop needs a resource
+ * kind of which the machine has no unit, so no II is ever feasible.
+ * Thrown by resourceMii; like InvalidDdg, a serving worker records it
+ * as a failed job.
+ */
+class MachineLacksUnit : public std::invalid_argument
+{
+  public:
+    using std::invalid_argument::invalid_argument;
+};
+
+/**
  * Per-node timing of one loop iteration, considering only distance-0
  * edges. Vectors are indexed by NodeId; entries for dead nodes are
  * meaningless.
@@ -83,16 +95,38 @@ std::vector<int> stronglyConnectedComponents(const Ddg &ddg);
 bool hasPositiveCycle(const Ddg &ddg, const MachineConfig &mach, int ii);
 
 /**
+ * Flat relaxation-ready copy of the live edges: everything the
+ * Bellman-Ford recurrence probe needs, gathered once so the O(V*E)
+ * relaxation never touches the graph (edgeLatency() per edge per pass
+ * is the difference between RecMII being cheap and dominating the
+ * compile).
+ */
+struct FlatEdge
+{
+    NodeId src;
+    NodeId dst;
+    int latency;
+    int distance;
+};
+
+class AnalysisCache;
+
+/**
  * Maximum over elementary cycles of ceil(sum latency / sum distance);
  * 1 when the graph has no recurrences. This is the RecMII term of the
  * minimum initiation interval.
  *
  * Every cycle lies inside one strongly connected component, so this
- * is max(1, max over SCCs of sccRecMii): one Bellman-Ford binary
- * search per component that has a loop-carried edge, each over only
- * that component's nodes and internal edges.
+ * is max(1, max over components of AnalysisCache::componentRecMii):
+ * one Bellman-Ford binary search per component that has a
+ * loop-carried edge, each over only that component's nodes and
+ * internal edges.
+ * @param cache optional memo; passing the one the scheduler later
+ *        reads lets a compile on an unchanged graph find the SCCs and
+ *        the per-component bounds there instead of recomputing them
  */
-int recurrenceMii(const Ddg &ddg, const MachineConfig &mach);
+int recurrenceMii(const Ddg &ddg, const MachineConfig &mach,
+                  AnalysisCache *cache = nullptr);
 
 /**
  * RecMII of one strongly connected component: max over its cycles of
@@ -135,6 +169,41 @@ class AnalysisCache
     /** Cached stronglyConnectedComponents(ddg). */
     const std::vector<int> &scc(const Ddg &ddg);
 
+    /**
+     * Cached RecMII per component of scc(ddg), keyed on
+     * (ddg.generation(), mach.id()): entry c is the sccRecMii of
+     * component c, 0 when the component has no loop-carried internal
+     * edge. In a valid DDG (no distance-0 cycle) that is exactly when
+     * the component is not a recurrence: a single node without a
+     * self-loop.
+     */
+    const std::vector<int> &componentRecMii(const Ddg &ddg,
+                                            const MachineConfig &mach);
+
+    /**
+     * Buffers the analysis kernels refill on every recomputation, so
+     * a long-lived cache stops allocating once it has seen its
+     * largest graph.
+     */
+    struct Scratch
+    {
+        struct Frame
+        {
+            NodeId n;
+            const EdgeId *it, *end;
+        };
+        std::vector<int> indeg;          //!< topo: distance-0 in-degree
+        std::vector<NodeId> ready;       //!< topo: ready stack
+        std::vector<int> index, lowlink; //!< Tarjan numbering
+        std::vector<NodeId> stack;       //!< Tarjan component stack
+        std::vector<Frame> dfs;          //!< Tarjan DFS frames
+        std::vector<int> compSize;       //!< RecMII: nodes per component
+        std::vector<int> local;          //!< RecMII: id within component
+        std::vector<int> first, fill;    //!< RecMII: edge buckets
+        std::vector<FlatEdge> edges;     //!< RecMII: bucketed edges
+        std::vector<long long> dist;     //!< RecMII: Bellman-Ford
+    };
+
   private:
     // Generation/config stamps start at 1, so 0 means "never
     // computed".
@@ -142,24 +211,13 @@ class AnalysisCache
     std::uint64_t timesGen_ = 0;
     std::uint64_t timesCfg_ = 0;
     std::uint64_t sccGen_ = 0;
+    std::uint64_t recGen_ = 0;
+    std::uint64_t recCfg_ = 0;
     std::vector<NodeId> topo_;
     NodeTimes times_;
     std::vector<int> scc_;
-};
-
-/**
- * Flat relaxation-ready copy of the live edges: everything the
- * Bellman-Ford recurrence probe needs, gathered once so the O(V*E)
- * relaxation never touches the graph (edgeLatency() per edge per pass
- * is the difference between RecMII being cheap and dominating the
- * compile).
- */
-struct FlatEdge
-{
-    NodeId src;
-    NodeId dst;
-    int latency;
-    int distance;
+    std::vector<int> recMii_;
+    Scratch scratch_;
 };
 
 /** Gather the live edges of @p ddg with latencies resolved. */

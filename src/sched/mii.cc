@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <string>
 
 #include "ddg/analysis.hh"
-#include "support/logging.hh"
 
 namespace cvliw
 {
@@ -28,18 +28,22 @@ resourceMii(const Ddg &ddg, const MachineConfig &mach)
             continue;
         const auto kind = static_cast<ResourceKind>(k);
         const int total = mach.available(kind) * mach.numClusters();
-        if (total == 0)
-            cv_fatal("machine has no ", toString(kind),
-                     " units but the loop needs them");
+        if (total == 0) {
+            throw MachineLacksUnit(std::string("machine has no ") +
+                                   toString(kind) +
+                                   " units but the loop needs them");
+        }
         mii = std::max(mii, (uses[k] + total - 1) / total);
     }
     return mii;
 }
 
 int
-minimumIi(const Ddg &ddg, const MachineConfig &mach)
+minimumIi(const Ddg &ddg, const MachineConfig &mach,
+          AnalysisCache *cache)
 {
-    return std::max(resourceMii(ddg, mach), recurrenceMii(ddg, mach));
+    return std::max(resourceMii(ddg, mach),
+                    recurrenceMii(ddg, mach, cache));
 }
 
 } // namespace cvliw

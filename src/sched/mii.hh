@@ -9,6 +9,7 @@
 #ifndef CVLIW_SCHED_MII_HH
 #define CVLIW_SCHED_MII_HH
 
+#include "ddg/analysis.hh"
 #include "ddg/ddg.hh"
 
 namespace cvliw
@@ -19,11 +20,18 @@ namespace cvliw
  * operations using it divided by the machine-wide unit count (all
  * clusters pooled — the tightest machine-independent-of-partition
  * bound), rounded up. At least 1.
+ * @throws MachineLacksUnit if the loop needs a kind the machine has
+ *         no unit of
  */
 int resourceMii(const Ddg &ddg, const MachineConfig &mach);
 
-/** max(ResMII, RecMII). */
-int minimumIi(const Ddg &ddg, const MachineConfig &mach);
+/**
+ * max(ResMII, RecMII).
+ * @param cache optional memo for the recurrence analysis (see
+ *        recurrenceMii)
+ */
+int minimumIi(const Ddg &ddg, const MachineConfig &mach,
+              AnalysisCache *cache = nullptr);
 
 } // namespace cvliw
 

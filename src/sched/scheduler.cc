@@ -4,9 +4,6 @@
 #include <limits>
 
 #include "ddg/analysis.hh"
-#include "sched/regpressure.hh"
-#include "sched/reservation.hh"
-#include "sched/sms_order.hh"
 #include "support/logging.hh"
 
 namespace cvliw
@@ -29,7 +26,8 @@ const std::vector<NodeId> &
 SchedulerCache::order(const Ddg &ddg, const MachineConfig &mach)
 {
     if (orderGen_ != ddg.generation() || orderCfg_ != mach.id()) {
-        order_ = smsOrder(ddg, mach, analyses);
+        orderGen_ = 0; // a throwing recomputation leaves no stale hit
+        smsOrder(ddg, mach, analyses, sms_, order_);
         orderGen_ = ddg.generation();
         orderCfg_ = mach.id();
     }
@@ -84,7 +82,9 @@ scheduleAtIi(const Ddg &ddg, const MachineConfig &mach,
     // and the sink pass read it once per (node, incident edge) visit,
     // and the zero-bus-latency variant's branch must not be paid
     // there.
-    std::vector<int> eff_lat(ddg.numEdgeSlots(), 0);
+    SchedulerCache::Buffers &buf = memo.buffers;
+    std::vector<int> &eff_lat = buf.effLat;
+    eff_lat.assign(ddg.numEdgeSlots(), 0);
     for (EdgeId eid : ddg.edges()) {
         const DdgEdge &e = ddg.edge(eid);
         if (opts.zeroBusLatencyForLength &&
@@ -96,8 +96,13 @@ scheduleAtIi(const Ddg &ddg, const MachineConfig &mach,
         }
     }
 
-    std::vector<bool> placed(ddg.numNodeSlots(), false);
+    // The loops below read these through raw pointers, which stay in
+    // registers across the out-of-line graph and table accessors.
+    buf.placed.assign(ddg.numNodeSlots(), 0);
+    char *const placed = buf.placed.data();
+    const int *const lat = eff_lat.data();
     std::vector<int> &start = attempt.sched.start;
+    int *const st = start.data();
 
     for (NodeId v : order) {
         const DdgNode &node = ddg.node(v);
@@ -114,16 +119,15 @@ scheduleAtIi(const Ddg &ddg, const MachineConfig &mach,
                 continue;
             has_pred = true;
             early = std::max(early,
-                             start[e.src] + eff_lat[eid] -
-                                 ii * e.distance);
+                             st[e.src] + lat[eid] - ii * e.distance);
         }
         for (EdgeId eid : ddg.outEdgesRaw(v)) {
             const DdgEdge &e = ddg.edge(eid);
             if (!e.alive || !placed[e.dst])
                 continue;
             has_succ = true;
-            late = std::min(late, start[e.dst] - eff_lat[eid] +
-                                      ii * e.distance);
+            late = std::min(late,
+                            st[e.dst] - lat[eid] + ii * e.distance);
         }
 
         // For copies the probe also yields the bus handle, so the
@@ -189,8 +193,8 @@ scheduleAtIi(const Ddg &ddg, const MachineConfig &mach,
                                                       probe_bus);
         else
             tables.placeOp(cluster, kind, chosen);
-        start[v] = chosen;
-        placed[v] = true;
+        st[v] = chosen;
+        placed[v] = 1;
     }
 
     // --- Sink pass -------------------------------------------------
@@ -201,8 +205,11 @@ scheduleAtIi(const Ddg &ddg, const MachineConfig &mach,
     // If the pass happens to worsen the pressure (copies extend
     // their source's home-cluster lifetime when sunk), it is rolled
     // back.
-    const std::vector<int> presink_start = start;
-    const std::vector<int> presink_bus = attempt.sched.busOf;
+    std::vector<int> &presink_start = buf.presinkStart;
+    std::vector<int> &presink_bus = buf.presinkBus;
+    presink_start = start;
+    presink_bus = attempt.sched.busOf;
+    std::vector<int> &max_live = attempt.sched.maxLive;
     {
         const auto &fwd = memo.analyses.topo(ddg);
         for (auto it = fwd.rbegin(); it != fwd.rend(); ++it) {
@@ -215,12 +222,12 @@ scheduleAtIi(const Ddg &ddg, const MachineConfig &mach,
                     continue;
                 has_out = true;
                 late = std::min(late,
-                                static_cast<long long>(start[e.dst]) +
+                                static_cast<long long>(st[e.dst]) +
                                     static_cast<long long>(ii) *
                                         e.distance -
-                                    eff_lat[eid]);
+                                    lat[eid]);
             }
-            if (!has_out || late <= start[v])
+            if (!has_out || late <= st[v])
                 continue;
 
             const DdgNode &node = ddg.node(v);
@@ -268,19 +275,22 @@ scheduleAtIi(const Ddg &ddg, const MachineConfig &mach,
         }
 
         // Keep the sunk schedule only if it did not increase the
-        // worst per-cluster pressure.
-        const auto live_before =
-            computeMaxLive(ddg, mach, part, presink_start, ii);
-        const auto live_after =
-            computeMaxLive(ddg, mach, part, start, ii);
+        // worst per-cluster pressure. The MaxLive of the schedule
+        // kept is its final one: the normalization below shifts by
+        // whole IIs, which MaxLive is invariant under.
+        std::vector<int> &live_before = buf.presinkLive;
+        computeMaxLive(ddg, mach, part, presink_start, ii, buf.live,
+                       live_before);
+        computeMaxLive(ddg, mach, part, start, ii, buf.live, max_live);
         const int worst_before =
             *std::max_element(live_before.begin(),
                               live_before.end());
-        const int worst_after = *std::max_element(
-            live_after.begin(), live_after.end());
+        const int worst_after =
+            *std::max_element(max_live.begin(), max_live.end());
         if (worst_after > worst_before) {
             start = presink_start;
             attempt.sched.busOf = presink_bus;
+            max_live = live_before;
         }
     }
 
@@ -316,10 +326,8 @@ scheduleAtIi(const Ddg &ddg, const MachineConfig &mach,
     attempt.sched.length = length;
     attempt.sched.stageCount = (length + ii - 1) / ii;
 
-    attempt.sched.maxLive =
-        computeMaxLive(ddg, mach, part, start, ii);
     for (int c = 0; c < mach.numClusters(); ++c) {
-        if (attempt.sched.maxLive[c] > mach.regsPerCluster()) {
+        if (max_live[c] > mach.regsPerCluster()) {
             attempt.ok = false;
             attempt.cause = FailCause::Registers;
             return attempt;

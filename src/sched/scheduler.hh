@@ -19,7 +19,9 @@
 #include "ddg/analysis.hh"
 #include "ddg/ddg.hh"
 #include "partition/partition.hh"
+#include "sched/regpressure.hh"
 #include "sched/reservation.hh"
+#include "sched/sms_order.hh"
 
 namespace cvliw
 {
@@ -79,8 +81,14 @@ struct SchedulerOptions
  * reuses the times and SCCs between the ordering and the placement
  * loop. Entries carry the machine config's identity stamp, so one
  * cache may serve several configs without stale reuse (like
- * AnalysisCache). The reservation tables are also pooled here: every
- * attempt resets them in place instead of reallocating.
+ * AnalysisCache).
+ *
+ * It also pools every per-attempt buffer, so an attempt allocates
+ * only the Schedule it returns: the reservation tables (reset in
+ * place), the SMS scratch (component ranks, in-degrees, the ready
+ * heap), the resolved edge latencies, the placed flags, the pre-sink
+ * starts and buses the sink pass may roll back to, and the MaxLive
+ * scratch.
  */
 struct SchedulerCache
 {
@@ -100,10 +108,23 @@ struct SchedulerCache
      */
     ReservationTables &tables(const MachineConfig &mach, int ii);
 
+    /** Per-attempt buffers of scheduleAtIi, refilled each attempt. */
+    struct Buffers
+    {
+        std::vector<int> effLat;       //!< resolved latency per edge
+        std::vector<char> placed;      //!< per node: already placed
+        std::vector<int> presinkStart; //!< starts before the sink pass
+        std::vector<int> presinkBus;   //!< buses before the sink pass
+        std::vector<int> presinkLive;  //!< MaxLive before the sink pass
+        MaxLiveScratch live;
+    };
+    Buffers buffers;
+
   private:
     std::uint64_t orderGen_ = 0;
     std::uint64_t orderCfg_ = 0;
     std::vector<NodeId> order_;
+    SmsScratch sms_;
     std::uint64_t tablesCfg_ = 0;
     const MachineConfig *tablesMach_ = nullptr;
     std::optional<ReservationTables> tables_;

@@ -1,11 +1,7 @@
 #include "sched/sms_order.hh"
 
 #include <algorithm>
-#include <map>
-#include <set>
-#include <tuple>
 
-#include "ddg/analysis.hh"
 #include "support/logging.hh"
 
 namespace cvliw
@@ -22,52 +18,53 @@ std::vector<NodeId>
 smsOrder(const Ddg &ddg, const MachineConfig &mach,
          AnalysisCache &cache)
 {
+    SmsScratch scratch;
+    std::vector<NodeId> order;
+    smsOrder(ddg, mach, cache, scratch, order);
+    return order;
+}
+
+void
+smsOrder(const Ddg &ddg, const MachineConfig &mach, AnalysisCache &cache,
+         SmsScratch &scratch, std::vector<NodeId> &order)
+{
+    // times() first: it throws InvalidDdg on a distance-0 cycle,
+    // which also makes "has a loop-carried internal edge" (RecMII >
+    // 0) the same as "is a recurrence" below.
     const NodeTimes &times = cache.times(ddg, mach);
-    const auto &comp = cache.scc(ddg);
+    const std::vector<int> &rec_mii = cache.componentRecMii(ddg, mach);
+    const std::vector<int> &comp = cache.scc(ddg);
+    const int num_comps = static_cast<int>(rec_mii.size());
 
-    // Group live nodes by SCC.
-    std::map<int, std::vector<NodeId>> by_comp;
-    for (NodeId n : ddg.nodes())
-        by_comp[comp[n]].push_back(n);
-
-    // A component is a recurrence when it has >1 node or a self-loop.
-    auto is_recurrence = [&](const std::vector<NodeId> &members) {
-        if (members.size() > 1)
-            return true;
-        for (EdgeId eid : ddg.outEdgesRaw(members[0])) {
-            const DdgEdge &e = ddg.edge(eid);
-            if (e.alive && e.dst == members[0])
-                return true;
-        }
-        return false;
-    };
-
-    // Priority sets: recurrences by decreasing RecMII, then the rest
-    // by decreasing criticality (depth+height), as one trailing set.
-    struct SetInfo { int recMii; int key2; std::vector<NodeId> nodes; };
-    std::vector<SetInfo> sets;
-    std::vector<NodeId> rest;
-    for (auto &[c, members] : by_comp) {
-        std::sort(members.begin(), members.end());
-        if (is_recurrence(members)) {
-            const int rm = sccRecMii(ddg, mach, members);
-            sets.push_back({rm, -members.front(), members});
-        } else {
-            rest.insert(rest.end(), members.begin(), members.end());
-        }
+    // Smallest member per component: nodes() ascends, so the first
+    // one seen.
+    std::vector<NodeId> &first = scratch.first;
+    first.assign(num_comps, invalidNode);
+    for (NodeId n : ddg.nodes()) {
+        if (first[comp[n]] == invalidNode)
+            first[comp[n]] = n;
     }
-    std::sort(sets.begin(), sets.end(), [](const auto &a, const auto &b) {
-        return std::tie(b.recMii, b.key2) < std::tie(a.recMii, a.key2);
-    });
-    if (!rest.empty())
-        sets.push_back({0, 0, std::move(rest)});
 
-    // Rank per node: its set's position (tighter recurrences first).
-    std::vector<int> rank(ddg.numNodeSlots(), 0);
-    for (std::size_t s = 0; s < sets.size(); ++s) {
-        for (NodeId n : sets[s].nodes)
-            rank[n] = static_cast<int>(s);
+    // Priority sets: recurrences by decreasing RecMII, ties to the
+    // smaller smallest member; everything else shares the trailing
+    // rank.
+    std::vector<SmsScratch::RecSet> &sets = scratch.sets;
+    sets.clear();
+    for (int c = 0; c < num_comps; ++c) {
+        if (rec_mii[c] > 0)
+            sets.push_back({rec_mii[c], first[c], c});
     }
+    std::sort(sets.begin(), sets.end(),
+              [](const SmsScratch::RecSet &a,
+                 const SmsScratch::RecSet &b) {
+                  if (a.recMii != b.recMii)
+                      return a.recMii > b.recMii;
+                  return a.first < b.first;
+              });
+    std::vector<int> &comp_rank = scratch.compRank;
+    comp_rank.assign(num_comps, static_cast<int>(sets.size()));
+    for (std::size_t s = 0; s < sets.size(); ++s)
+        comp_rank[sets[s].comp] = static_cast<int>(s);
 
     // Priority-topological order over the distance-0 edges. Placing
     // producers strictly before their intra-iteration consumers
@@ -75,42 +72,68 @@ smsOrder(const Ddg &ddg, const MachineConfig &mach,
     // *successor* comes through a loop-carried edge, whose window
     // grows with II - so raising the II always makes progress (the
     // property the no-backtracking scheduler of section 2.3.2 needs).
-    // Among ready nodes, the tightest recurrence set goes first,
-    // then the most critical node (lowest mobility, largest
-    // depth+height).
-    std::vector<int> indeg(ddg.numNodeSlots(), 0);
+    //
+    // Every buffer below is sized up front (each node enters the
+    // heap and the order once) and read through raw pointers, which
+    // stay in registers across the out-of-line graph accessors.
+    const int slots = ddg.numNodeSlots();
+    scratch.indeg.assign(slots, 0);
+    int *const indeg = scratch.indeg.data();
     for (EdgeId eid : ddg.edges()) {
         if (ddg.edge(eid).distance == 0)
             ++indeg[ddg.edge(eid).dst];
     }
 
-    using Key = std::tuple<int, int, int, NodeId>;
+    const int *const comp_of = comp.data();
+    const int *const rank_of = comp_rank.data();
+    const int *const asap = times.asap.data();
+    const int *const alap = times.alap.data();
+    const int *const depth = times.depth.data();
+    const int *const height = times.height.data();
     auto key_of = [&](NodeId n) {
-        return Key(rank[n], times.mobility(n),
-                   -(times.depth[n] + times.height[n]), n);
+        return SmsScratch::Key{rank_of[comp_of[n]], alap[n] - asap[n],
+                               -(depth[n] + height[n]), n};
     };
-    std::set<Key> ready;
+    // A min-heap: the std heap functions keep the largest element
+    // under their comparator on top, so the comparator is "pops
+    // later", the lexicographic greater-than.
+    const auto later = [](const SmsScratch::Key &a,
+                          const SmsScratch::Key &b) {
+        if (a.rank != b.rank)
+            return a.rank > b.rank;
+        if (a.mobility != b.mobility)
+            return a.mobility > b.mobility;
+        if (a.negCriticality != b.negCriticality)
+            return a.negCriticality > b.negCriticality;
+        return a.node > b.node;
+    };
+    const int num_nodes = ddg.numNodes();
+    scratch.heap.resize(num_nodes);
+    SmsScratch::Key *const heap = scratch.heap.data();
+    int heap_size = 0;
     for (NodeId n : ddg.nodes()) {
         if (indeg[n] == 0)
-            ready.insert(key_of(n));
+            heap[heap_size++] = key_of(n);
     }
+    std::make_heap(heap, heap + heap_size, later);
 
-    std::vector<NodeId> order;
-    order.reserve(ddg.numNodes());
-    while (!ready.empty()) {
-        const NodeId n = std::get<3>(*ready.begin());
-        ready.erase(ready.begin());
-        order.push_back(n);
+    order.resize(num_nodes);
+    NodeId *const out = order.data();
+    int emitted = 0;
+    while (heap_size > 0) {
+        std::pop_heap(heap, heap + heap_size, later);
+        const NodeId n = heap[--heap_size].node;
+        out[emitted++] = n;
         for (EdgeId eid : ddg.outEdgesRaw(n)) {
             const DdgEdge &e = ddg.edge(eid);
-            if (e.alive && e.distance == 0 && --indeg[e.dst] == 0)
-                ready.insert(key_of(e.dst));
+            if (e.alive && e.distance == 0 && --indeg[e.dst] == 0) {
+                heap[heap_size++] = key_of(e.dst);
+                std::push_heap(heap, heap + heap_size, later);
+            }
         }
     }
 
-    cv_assert(static_cast<int>(order.size()) == ddg.numNodes(),
-              "SMS order lost nodes");
-    return order;
+    cv_assert(emitted == num_nodes, "SMS order lost nodes");
 }
 
 } // namespace cvliw

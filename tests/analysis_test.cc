@@ -40,8 +40,9 @@ TEST(TopoOrder, RespectsEdges)
         pos[order[i]] = static_cast<int>(i);
     for (EdgeId eid : g.edges()) {
         const DdgEdge &e = g.edge(eid);
-        if (e.distance == 0)
+        if (e.distance == 0) {
             EXPECT_LT(pos[e.src], pos[e.dst]);
+        }
     }
 }
 
@@ -329,6 +330,45 @@ TEST(RecMii, PerSccMatchesWholeGraphSearch)
     EXPECT_GT(self_loops, 0);
     EXPECT_GT(multi_scc, 0);
     EXPECT_GT(acyclic, 0);
+}
+
+TEST(RecMii, MemoTracksMachineAndMutation)
+{
+    // One memo, one graph, two machines whose latencies differ, then
+    // a mutation: every answer must match a fresh computation.
+    DdgBuilder b;
+    b.op("x", OpClass::FpMul);
+    b.op("y", OpClass::FpAlu, {"x"});
+    b.flow("y", "x", 1);
+    b.op("acc", OpClass::IntAlu);
+    b.flow("acc", "acc", 1);
+    Ddg g = b.take();
+    const NodeId x = b.id("x"), y = b.id("y"), acc = b.id("acc");
+    const auto m1 = MachineConfig::unified();
+    auto m2 = MachineConfig::custom(1, ClusterResources{4, 4, 4, 0}, 1,
+                                    1, 64);
+    m2.setLatency(OpClass::FpMul, 2);
+
+    AnalysisCache cache;
+    auto rec_of = [&](const MachineConfig &m, NodeId n) {
+        return cache.componentRecMii(g, m)[cache.scc(g)[n]];
+    };
+    EXPECT_EQ(rec_of(m1, x), sccRecMii(g, m1, {x, y}));
+    EXPECT_EQ(rec_of(m1, x), 9);
+    EXPECT_EQ(rec_of(m2, x), sccRecMii(g, m2, {x, y}));
+    EXPECT_NE(rec_of(m2, x), 9);
+    EXPECT_EQ(rec_of(m1, x), 9); // back to the first machine
+    EXPECT_EQ(rec_of(m1, acc), 1);
+    EXPECT_EQ(recurrenceMii(g, m2, &cache), recurrenceMii(g, m2));
+
+    // Close x -> y -> acc -> x: one recurrence of latency 6 + 3 + 1.
+    g.addEdge(y, acc, EdgeKind::RegFlow, 0);
+    g.addEdge(acc, x, EdgeKind::RegFlow, 1);
+    EXPECT_EQ(cache.scc(g)[x], cache.scc(g)[acc]);
+    EXPECT_EQ(rec_of(m1, acc), sccRecMii(g, m1, {x, y, acc}));
+    EXPECT_EQ(recurrenceMii(g, m1, &cache), 10);
+    EXPECT_EQ(recurrenceMii(g, m1), 10);
+    EXPECT_EQ(recurrenceMii(g, m2, &cache), recurrenceMii(g, m2));
 }
 
 } // namespace

@@ -531,6 +531,54 @@ TEST(FrontierFaults, DistanceZeroCycleFailsOnlyItsJob)
     EXPECT_EQ(frontier.stats().jobsFailed, 1u);
 }
 
+TEST(FrontierFaults, MachineLackingAUnitFailsOnlyItsJob)
+{
+    // A machine with no FP unit cannot run a loop with FP ops at any
+    // II. That is the caller's input error: one failed job with a
+    // typed error, never an exit of the serving process.
+    const auto no_fp =
+        MachineConfig::custom(2, ClusterResources{2, 0, 2, 0}, 1, 1, 32);
+    DdgBuilder b;
+    b.op("f0", OpClass::FpAlu);
+    b.op("f1", OpClass::FpAlu, {"f0"});
+    const Ddg fp_loop = b.take();
+    EXPECT_THROW(compile(fp_loop, no_fp), MachineLacksUnit);
+
+    const auto &sample = sampleLoops();
+    const auto m = MachineConfig::fromString("4c2b2l64r");
+    const std::size_t bad = 5;
+    std::vector<Frontier::Job> jobs;
+    std::vector<std::uint64_t> oracle;
+    for (std::size_t i = 0; i < 8; ++i) {
+        if (i == bad) {
+            jobs.push_back(Frontier::Job{&fp_loop, &no_fp, nullptr});
+            oracle.push_back(0);
+            continue;
+        }
+        jobs.push_back(Frontier::Job{&sample[i].ddg, &m, nullptr});
+        oracle.push_back(oracleDigest(sample[i], m));
+    }
+
+    Frontier frontier(2);
+    auto handle = frontier.submit(jobs);
+    handle.wait();
+
+    EXPECT_EQ(handle.job(bad).outcome, JobOutcome::Failed);
+    EXPECT_NE(handle.job(bad).error.find("no fp-fu units"),
+              std::string::npos)
+        << handle.job(bad).error;
+    EXPECT_FALSE(handle.results()[bad].ok);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (i == bad)
+            continue;
+        EXPECT_EQ(handle.job(i).outcome, JobOutcome::Ok) << "job " << i;
+        ResultDigest d;
+        mixCompileResult(d, handle.results()[i]);
+        EXPECT_EQ(d.h, oracle[i]) << "job " << i;
+    }
+    EXPECT_EQ(frontier.stats().jobsFailed, 1u);
+}
+
 TEST(FrontierFaults, StepBudgetTimesOutPerJob)
 {
     const auto &sample = sampleLoops();
@@ -875,8 +923,9 @@ TEST(FrontierFaults, DestructionAfterCancelWithFailuresInFlight)
         ASSERT_TRUE(outcome == JobOutcome::Failed ||
                     outcome == JobOutcome::Cancelled)
             << "job " << i << ": " << toString(outcome);
-        if (outcome == JobOutcome::Failed)
+        if (outcome == JobOutcome::Failed) {
             EXPECT_FALSE(handle.job(i).error.empty()) << "job " << i;
+        }
         EXPECT_FALSE(handle.job(i).ran()) << "job " << i;
     }
 }
@@ -1221,8 +1270,9 @@ TEST(FrontierFairShare, PerTenantCountersSumToAggregate)
     const TenantStats flaky_stats = frontier.statsFor("flaky");
     EXPECT_EQ(flaky_stats.jobsOk + flaky_stats.jobsCancelled,
               four.size());
-    if (flaky_stats.jobsCancelled > 0)
+    if (flaky_stats.jobsCancelled > 0) {
         EXPECT_GT(flaky_stats.cancelRate, 0.0);
+    }
 
     // An unknown tenant snapshots to a zeroed record, not a crash.
     const TenantStats ghost = frontier.statsFor("never-seen");

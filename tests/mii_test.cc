@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "ddg/analysis.hh"
 #include "ddg/builder.hh"
 #include "sched/mii.hh"
 
@@ -83,6 +86,49 @@ TEST(Mii, CopiesAreIgnored)
     g.addEdge(a, c, EdgeKind::RegFlow, 0);
     EXPECT_EQ(resourceMii(g, MachineConfig::fromString("2c1b2l64r")),
               1);
+}
+
+TEST(ResMii, MissingUnitIsATypedError)
+{
+    // No FP unit anywhere: no II can fit the loop. The caller gets a
+    // typed error (an invalid_argument) instead of a process exit.
+    DdgBuilder b;
+    b.op("f0", OpClass::FpAlu);
+    b.op("f1", OpClass::FpAlu, {"f0"});
+    const Ddg g = b.take();
+    const auto no_fp =
+        MachineConfig::custom(2, ClusterResources{2, 0, 2, 0}, 1, 1, 32);
+    EXPECT_THROW(resourceMii(g, no_fp), MachineLacksUnit);
+    EXPECT_THROW(minimumIi(g, no_fp), std::invalid_argument);
+
+    // A loop that only needs the units the machine has is fine.
+    DdgBuilder ib;
+    ib.op("i0", OpClass::IntAlu);
+    ib.op("ld", OpClass::Load, {"i0"});
+    EXPECT_EQ(resourceMii(ib.take(), no_fp), 1);
+}
+
+TEST(Mii, CachedMatchesUncached)
+{
+    // minimumIi with a memo runs the same kernel as without one, and
+    // leaves the SCCs and per-component RecMII in it for the
+    // scheduler.
+    DdgBuilder b;
+    b.op("x", OpClass::FpMul);        // 6
+    b.op("y", OpClass::FpAlu, {"x"}); // 3
+    b.flow("y", "x", 1);              // RecMII 9
+    b.op("acc", OpClass::IntAlu);
+    b.flow("acc", "acc", 2);          // RecMII 1
+    const Ddg g = b.take();
+    const auto m = MachineConfig::unified();
+    AnalysisCache cache;
+    EXPECT_EQ(minimumIi(g, m, &cache), 9);
+    EXPECT_EQ(minimumIi(g, m), 9);
+    const auto &comp = cache.scc(g);
+    const auto &rec = cache.componentRecMii(g, m);
+    EXPECT_EQ(rec[comp[b.id("x")]], 9);
+    EXPECT_EQ(comp[b.id("x")], comp[b.id("y")]);
+    EXPECT_EQ(rec[comp[b.id("acc")]], 1);
 }
 
 } // namespace

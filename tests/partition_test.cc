@@ -177,8 +177,9 @@ TEST(Coarsen, HierarchyLevelsNest)
         // Same group at level l-1 implies same group at level l.
         for (NodeId x : g.nodes()) {
             for (NodeId y : g.nodes()) {
-                if (hier.groupOf(x, l - 1) == hier.groupOf(y, l - 1))
+                if (hier.groupOf(x, l - 1) == hier.groupOf(y, l - 1)) {
                     EXPECT_EQ(hier.groupOf(x, l), hier.groupOf(y, l));
+                }
             }
         }
         EXPECT_LE(hier.numGroups(l), hier.numGroups(l - 1));

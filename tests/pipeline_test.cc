@@ -13,6 +13,7 @@
 #include "sched/comms.hh"
 #include "sched/mii.hh"
 #include "vliw/checker.hh"
+#include "vliw/simulator.hh"
 #include "workloads/suite.hh"
 
 namespace cvliw
@@ -36,6 +37,30 @@ TEST(Pipeline, UnifiedMachineSchedulesAtMii)
     EXPECT_FALSE(r.finalDdg.hasCopies());
     EXPECT_TRUE(
         checkSchedule(r.finalDdg, m, r.partition, r.schedule).empty());
+}
+
+TEST(Pipeline, ProducerScheduledBeforeCycleZeroCompiles)
+{
+    // w's recurrence is ordered first and lands at cycle 0; v, whose
+    // 18-cycle result w reads one iteration later, then goes to
+    // cycle -17. The scheduler measures register pressure on those
+    // raw starts before it normalizes them, and that must neither
+    // abort nor count v as unscheduled.
+    DdgBuilder b;
+    b.op("w", OpClass::IntAlu);
+    b.flow("w", "w", 1);
+    b.op("v", OpClass::FpDiv);
+    b.flow("v", "w", 1);
+    const Ddg g = b.take();
+    const auto m = MachineConfig::unified();
+
+    const auto r = compile(g, m);
+    ASSERT_TRUE(r.ok);
+    EXPECT_EQ(r.ii, 1);
+    EXPECT_TRUE(
+        checkSchedule(r.finalDdg, m, r.partition, r.schedule).empty());
+    const auto rep = simulate(r.finalDdg, m, r.partition, r.schedule, g);
+    EXPECT_TRUE(rep.ok) << (rep.errors.empty() ? "" : rep.errors[0]);
 }
 
 TEST(Pipeline, IiNeverBelowMii)
