@@ -26,6 +26,7 @@
 #include "eval/frontier.hh"
 #include "eval/result_cache.hh"
 #include "eval/service.hh"
+#include "partition/edge_weights.hh"
 #include "partition/multilevel.hh"
 #include "partition/refine.hh"
 #include "sched/copies.hh"
@@ -193,6 +194,24 @@ BM_RefinePartition(benchmark::State &state)
     state.SetLabel(std::to_string(loop.ddg.numNodes()) + " nodes");
 }
 BENCHMARK(BM_RefinePartition)->Arg(0)->Arg(2);
+
+/**
+ * coarsen() alone on the largest suite loop at its MII: the edge
+ * fold, the per-level matching sort and the renumbering, without the
+ * edge weighting, bin-packing or refinement around it.
+ */
+void
+BM_Coarsen(benchmark::State &state)
+{
+    const Loop &loop = largestLoop(0);
+    const auto m = MachineConfig::fromString("4c2b4l64r");
+    const int mii = minimumIi(loop.ddg, m);
+    const auto weights = computeEdgeWeights(loop.ddg, m);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(coarsen(loop.ddg, m, mii, weights));
+    state.SetLabel(std::to_string(loop.ddg.numNodes()) + " nodes");
+}
+BENCHMARK(BM_Coarsen);
 
 void
 BM_ReplicationPass(benchmark::State &state)

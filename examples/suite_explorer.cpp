@@ -32,6 +32,18 @@ main(int argc, char **argv)
                    "4c4b4l64r"};
     }
 
+    // Parse every machine name first: a bad one ends the run with its
+    // message before any compile.
+    std::vector<MachineConfig> machines;
+    for (const auto &cfg : configs) {
+        try {
+            machines.push_back(MachineConfig::fromString(cfg));
+        } catch (const InvalidMachine &e) {
+            std::cerr << "suite_explorer: " << e.what() << "\n";
+            return 1;
+        }
+    }
+
     const auto loops = buildBenchmark(bench);
     std::cout << bench << ": " << loops.size()
               << " modulo-schedulable inner loops\n\n";
@@ -40,8 +52,9 @@ main(int argc, char **argv)
     table.addRow({"config", "mode", "IPC", "avg II", "avg MII",
                   "comms", "removed", "replicas", "+insns"});
 
-    for (const auto &cfg : configs) {
-        const auto m = MachineConfig::fromString(cfg);
+    for (std::size_t ci = 0; ci < configs.size(); ++ci) {
+        const std::string &cfg = configs[ci];
+        const MachineConfig &m = machines[ci];
         for (const bool replication : {false, true}) {
             if (m.isUnified() && replication)
                 continue;

@@ -89,11 +89,12 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
     trace::TraceSpan compile_span("pipeline", "compile");
     compile_span.arg("nodes", original.numNodes());
 
-    // Telemetry baselines: the scratch's probe/commit counters are
-    // lifetime-monotone, so this compile's share is a difference.
+    // Telemetry baselines: the scratch's probe/commit/full-eval
+    // counters are lifetime-monotone, so this compile's share is a difference.
     const PhaseClock::time_point t_compile = PhaseClock::now();
     const std::uint64_t probes0 = caches.pseudo.probeCount();
     const std::uint64_t commits0 = caches.pseudo.commitCount();
+    const std::uint64_t full0 = caches.pseudo.fullEvalCount();
 
     // Cooperative deadline: one checkpoint here (so "expire
     // immediately" configurations never reach the initial partition),
@@ -111,6 +112,8 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
             caches.pseudo.probeCount() - probes0;
         result.telemetry.refineCommits =
             caches.pseudo.commitCount() - commits0;
+        result.telemetry.refineFullEvals =
+            caches.pseudo.fullEvalCount() - full0;
         result.telemetry.totalMs = msSince(t_compile);
     };
 
@@ -124,7 +127,8 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
         trace::TraceSpan span("pipeline", "partition");
         const PhaseClock::time_point t0 = PhaseClock::now();
         pr = multilevelPartition(original, mach, result.mii,
-                                 &pseudo_scratch);
+                                 &pseudo_scratch,
+                                 &caches.sched.analyses);
         result.telemetry.partitionMs += msSince(t0);
     }
 

@@ -128,6 +128,13 @@ struct CompileTelemetry
     /** Refinement moves actually committed. */
     std::uint64_t refineCommits = 0;
 
+    /**
+     * Refinement probes the read-only verdict on the cheap fields
+     * could not decide, so they applied the move and evaluated it
+     * (see invariant 2 in sched/pseudo.hh); at most refineProbes.
+     */
+    std::uint64_t refineFullEvals = 0;
+
     /** Replication selection rounds, summed over every II attempt. */
     std::uint32_t replicationRounds = 0;
 

@@ -394,32 +394,18 @@ Ddg::removeEdge(EdgeId id)
     bumpGeneration();
 }
 
-const DdgNode &
-Ddg::node(NodeId id) const
+void
+Ddg::badNodeId(NodeId id)
 {
-    cv_assert(id >= 0 && id < numNodeSlots(), "bad node id ", id);
-    return nodes_[id];
+    cv_panic("assertion failed: id >= 0 && id < numNodeSlots() ",
+             "bad node id ", id);
 }
 
-DdgNode &
-Ddg::node(NodeId id)
+void
+Ddg::badEdgeId(EdgeId id)
 {
-    cv_assert(id >= 0 && id < numNodeSlots(), "bad node id ", id);
-    return nodes_[id];
-}
-
-const DdgEdge &
-Ddg::edge(EdgeId id) const
-{
-    cv_assert(id >= 0 && id < numEdgeSlots(), "bad edge id ", id);
-    return edges_[id];
-}
-
-DdgEdge &
-Ddg::edge(EdgeId id)
-{
-    cv_assert(id >= 0 && id < numEdgeSlots(), "bad edge id ", id);
-    return edges_[id];
+    cv_panic("assertion failed: id >= 0 && id < numEdgeSlots() ",
+             "bad edge id ", id);
 }
 
 std::string_view
@@ -442,24 +428,6 @@ Ddg::outEdges(NodeId id) const
 {
     checkNode(id);
     return LiveAdjRange(arena_, slots_[2 * id + 1], edges_);
-}
-
-EdgeSpan
-Ddg::inEdgesRaw(NodeId id) const
-{
-    cv_assert(id >= 0 && id < numNodeSlots(), "bad node id ", id);
-    const detail::AdjSlot &s = slots_[2 * id];
-    return EdgeSpan(s.count ? arena_.data() + s.offset : nullptr,
-                    s.count);
-}
-
-EdgeSpan
-Ddg::outEdgesRaw(NodeId id) const
-{
-    cv_assert(id >= 0 && id < numNodeSlots(), "bad node id ", id);
-    const detail::AdjSlot &s = slots_[2 * id + 1];
-    return EdgeSpan(s.count ? arena_.data() + s.offset : nullptr,
-                    s.count);
 }
 
 FlowNeighborRange

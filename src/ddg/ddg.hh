@@ -578,10 +578,33 @@ class Ddg
     /** Live edge ids in id order (zero-allocation view). */
     LiveEdgeRange edges() const { return LiveEdgeRange(edges_); }
 
-    const DdgNode &node(NodeId id) const;
-    DdgNode &node(NodeId id);
-    const DdgEdge &edge(EdgeId id) const;
-    DdgEdge &edge(EdgeId id);
+    // The element accessors are inline (the analyses call them tens
+    // of millions of times per suite sweep); an id outside the slot
+    // range panics on a cold out-of-line path.
+    const DdgNode &node(NodeId id) const
+    {
+        if (static_cast<std::size_t>(id) >= nodes_.size())
+            badNodeId(id);
+        return nodes_[static_cast<std::size_t>(id)];
+    }
+    DdgNode &node(NodeId id)
+    {
+        if (static_cast<std::size_t>(id) >= nodes_.size())
+            badNodeId(id);
+        return nodes_[static_cast<std::size_t>(id)];
+    }
+    const DdgEdge &edge(EdgeId id) const
+    {
+        if (static_cast<std::size_t>(id) >= edges_.size())
+            badEdgeId(id);
+        return edges_[static_cast<std::size_t>(id)];
+    }
+    DdgEdge &edge(EdgeId id)
+    {
+        if (static_cast<std::size_t>(id) >= edges_.size())
+            badEdgeId(id);
+        return edges_[static_cast<std::size_t>(id)];
+    }
 
     /**
      * Label of node @p id as a view into the label arena (dead slots
@@ -613,10 +636,10 @@ class Ddg
      * Storage-level access: bounds-checked only, so dead node slots
      * are readable (like `node()`/`edge()`).
      */
-    EdgeSpan inEdgesRaw(NodeId id) const;
+    EdgeSpan inEdgesRaw(NodeId id) const { return rawSpan(id, 0); }
 
     /** Raw out-span of @p id (see inEdgesRaw). */
-    EdgeSpan outEdgesRaw(NodeId id) const;
+    EdgeSpan outEdgesRaw(NodeId id) const { return rawSpan(id, 1); }
 
     /**
      * Live register-flow producers of @p id (dedup not applied;
@@ -680,6 +703,24 @@ class Ddg
 
   private:
     static std::uint64_t freshGeneration();
+
+    /** Cold path of the accessors: panic naming the bad id. */
+    [[noreturn, gnu::cold, gnu::noinline]] static void
+    badNodeId(NodeId id);
+    [[noreturn, gnu::cold, gnu::noinline]] static void
+    badEdgeId(EdgeId id);
+
+    /** Raw span @p dir (0: in, 1: out) of node @p id. */
+    EdgeSpan rawSpan(NodeId id, int dir) const
+    {
+        if (static_cast<std::size_t>(id) >= nodes_.size())
+            badNodeId(id);
+        const detail::AdjSlot &s =
+            slots_[2 * static_cast<std::size_t>(id) +
+                   static_cast<std::size_t>(dir)];
+        return EdgeSpan(s.count ? arena_.data() + s.offset : nullptr,
+                        s.count);
+    }
 
     void checkNode(NodeId id) const;
     void checkEdge(EdgeId id) const;

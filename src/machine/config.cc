@@ -31,6 +31,20 @@ fillDefaultLatencies(
     }
 }
 
+/**
+ * One numeric field of machine name @p name. Nine digits at most, so
+ * std::stoi cannot overflow: a longer field is a bad name too.
+ */
+int
+parseField(const std::string &digits, const std::string &name)
+{
+    if (digits.size() > 9) {
+        throw InvalidMachine(
+            detail::concat("field too large in machine name '", name, "'"));
+    }
+    return std::stoi(digits);
+}
+
 } // namespace
 
 MachineConfig
@@ -43,9 +57,10 @@ MachineConfig::fromString(const std::string &name)
         if (rest.back() == 'r') {
             std::string digits = rest.substr(0, rest.size() - 1);
             if (allDigits(digits))
-                return unified(std::stoi(digits));
+                return unified(parseField(digits, name));
         }
-        cv_fatal("bad unified machine name '", name, "'");
+        throw InvalidMachine(
+            detail::concat("bad unified machine name '", name, "'"));
     }
 
     // wcxbylzr, each field an unsigned integer.
@@ -59,13 +74,15 @@ MachineConfig::fromString(const std::string &name)
             ++pos;
         }
         if (start == pos || pos >= name.size() || name[pos] != letters[f])
-            cv_fatal("bad machine name '", name,
-                     "'; expected wcxbylzr, e.g. 4c2b4l64r");
-        fields[f] = std::stoi(name.substr(start, pos - start));
+            throw InvalidMachine(
+                detail::concat("bad machine name '", name,
+                               "'; expected wcxbylzr, e.g. 4c2b4l64r"));
+        fields[f] = parseField(name.substr(start, pos - start), name);
         ++pos;
     }
     if (pos != name.size())
-        cv_fatal("trailing characters in machine name '", name, "'");
+        throw InvalidMachine(detail::concat(
+            "trailing characters in machine name '", name, "'"));
     return clustered(fields[0], fields[1], fields[2], fields[3]);
 }
 
@@ -73,15 +90,18 @@ MachineConfig
 MachineConfig::clustered(int clusters, int buses, int bus_lat, int regs)
 {
     if (clusters < 1)
-        cv_fatal("need at least one cluster");
+        throw InvalidMachine("need at least one cluster");
     if (clusters > 1 && (buses < 1 || bus_lat < 1))
-        cv_fatal("clustered machine needs >=1 bus of latency >=1");
+        throw InvalidMachine(
+            "clustered machine needs >=1 bus of latency >=1");
     if (4 % clusters != 0)
-        cv_fatal("cluster count ", clusters,
-                 " does not evenly divide the 12-wide machine");
+        throw InvalidMachine(
+            detail::concat("cluster count ", clusters,
+                           " does not evenly divide the 12-wide machine"));
     if (regs % clusters != 0)
-        cv_fatal("registers (", regs, ") not divisible by clusters (",
-                 clusters, ")");
+        throw InvalidMachine(
+            detail::concat("registers (", regs,
+                           ") not divisible by clusters (", clusters, ")"));
 
     MachineConfig cfg;
     cfg.numClusters_ = clusters;
@@ -106,10 +126,11 @@ MachineConfig::universal(int clusters, int fus_per_cluster, int buses,
                          int bus_lat, int regs)
 {
     if (clusters < 1 || fus_per_cluster < 1)
-        cv_fatal("bad universal machine shape");
+        throw InvalidMachine("bad universal machine shape");
     if (regs % clusters != 0)
-        cv_fatal("registers (", regs, ") not divisible by clusters (",
-                 clusters, ")");
+        throw InvalidMachine(
+            detail::concat("registers (", regs,
+                           ") not divisible by clusters (", clusters, ")"));
     MachineConfig cfg;
     cfg.numClusters_ = clusters;
     cfg.numBuses_ = clusters == 1 ? 0 : buses;
@@ -126,10 +147,11 @@ MachineConfig::custom(int clusters, ClusterResources res, int buses,
                       int bus_lat, int regs)
 {
     if (clusters < 1)
-        cv_fatal("need at least one cluster");
+        throw InvalidMachine("need at least one cluster");
     if (regs % clusters != 0)
-        cv_fatal("registers (", regs, ") not divisible by clusters (",
-                 clusters, ")");
+        throw InvalidMachine(
+            detail::concat("registers (", regs,
+                           ") not divisible by clusters (", clusters, ")"));
     MachineConfig cfg;
     cfg.numClusters_ = clusters;
     cfg.numBuses_ = clusters == 1 ? 0 : buses;
@@ -182,7 +204,7 @@ void
 MachineConfig::setLatency(OpClass cls, int cycles)
 {
     if (cycles < 1)
-        cv_fatal("latency must be >= 1");
+        throw InvalidMachine("latency must be >= 1");
     latency_[static_cast<std::size_t>(cls)] = cycles;
     // The override changes analysis-relevant behaviour without
     // changing name(); re-stamp so caches see a different machine.

@@ -12,12 +12,27 @@
 
 #include <array>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 
 #include "machine/op_class.hh"
 
 namespace cvliw
 {
+
+/**
+ * A machine description no machine can have: a malformed name, a
+ * cluster count that does not divide the 12-wide machine, a register
+ * file that does not split evenly over the clusters, a clustered
+ * machine without buses, or a latency below one cycle. Thrown by the
+ * MachineConfig factories, like InvalidDdg for graphs, so a caller
+ * that parses user input reports it instead of the process exiting.
+ */
+class InvalidMachine : public std::invalid_argument
+{
+  public:
+    using std::invalid_argument::invalid_argument;
+};
 
 /**
  * Functional units of one (homogeneous) cluster. The paper's base
@@ -45,6 +60,7 @@ class MachineConfig
      * Parse a configuration name.
      * Accepts `wcxbylzr` (e.g. "4c2b4l64r"), "unified" (64 registers)
      * or "unified<z>r" (e.g. "unified128r").
+     * @throws InvalidMachine for a malformed name or a bad shape
      */
     static MachineConfig fromString(const std::string &name);
 
@@ -55,6 +71,7 @@ class MachineConfig
      * @param buses inter-cluster buses
      * @param bus_lat bus latency in cycles (>= 1)
      * @param regs total architected registers (divisible by clusters)
+     * @throws InvalidMachine when a parameter breaks these rules
      */
     static MachineConfig clustered(int clusters, int buses, int bus_lat,
                                    int regs);
@@ -66,11 +83,16 @@ class MachineConfig
      * A machine whose FUs are universal (any op on any FU), used by
      * the paper's worked example (section 3.3): @p fus_per_cluster
      * universal units per cluster.
+     * @throws InvalidMachine for a bad shape
      */
     static MachineConfig universal(int clusters, int fus_per_cluster,
                                    int buses, int bus_lat, int regs);
 
-    /** Fully custom machine (heterogeneous FU counts per cluster). */
+    /**
+     * Fully custom machine (heterogeneous FU counts per cluster).
+     * @throws InvalidMachine for no cluster, or registers that do not
+     *         split evenly over the clusters
+     */
     static MachineConfig custom(int clusters, ClusterResources res,
                                 int buses, int bus_lat, int regs);
 
@@ -96,7 +118,10 @@ class MachineConfig
         return latency_[static_cast<std::size_t>(cls)];
     }
 
-    /** Override the latency of @p cls (custom machines only). */
+    /**
+     * Override the latency of @p cls (custom machines only).
+     * @throws InvalidMachine when @p cycles is below one
+     */
     void setLatency(OpClass cls, int cycles);
 
     /** Total operations issued per cycle across all clusters. */

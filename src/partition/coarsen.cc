@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <tuple>
 
 #include "partition/matching.hh"
 #include "support/logging.hh"
@@ -80,31 +79,6 @@ mergeFits(const Usage &a, const Usage &b, const Usage &cap)
     return true;
 }
 
-/**
- * Sort @p edges by (a, b) and fold parallel edges into one by summing
- * their weights. Every key is then unique, so greedyMatching's
- * (weight desc, a, b) order is total and the matching does not depend
- * on the order the edges were produced in.
- */
-void
-foldParallelEdges(std::vector<MatchEdge> &edges)
-{
-    std::sort(edges.begin(), edges.end(),
-              [](const MatchEdge &x, const MatchEdge &y) {
-                  return std::tie(x.a, x.b) < std::tie(y.a, y.b);
-              });
-    std::size_t kept = 0;
-    for (const MatchEdge &e : edges) {
-        if (kept > 0 && edges[kept - 1].a == e.a &&
-            edges[kept - 1].b == e.b) {
-            edges[kept - 1].weight += e.weight;
-        } else {
-            edges[kept++] = e;
-        }
-    }
-    edges.resize(kept);
-}
-
 } // namespace
 
 CoarseningHierarchy
@@ -138,7 +112,8 @@ coarsen(const Ddg &ddg, const MachineConfig &mach, int ii,
         cap[k] = mach.available(static_cast<ResourceKind>(k)) * ii;
 
     // Accumulated edge weights between coarse vertices: one edge per
-    // (a < b) pair, kept sorted by (a, b) between levels.
+    // (a < b) pair between levels, folded by the bucket pass of
+    // EdgeFolder. The matching's sort is the one sort per level.
     std::vector<MatchEdge> weights;
     weights.reserve(static_cast<std::size_t>(ddg.numEdges()));
     for (EdgeId eid : ddg.edges()) {
@@ -155,7 +130,8 @@ coarsen(const Ddg &ddg, const MachineConfig &mach, int ii,
             std::swap(a, b);
         weights.push_back({a, b, w});
     }
-    foldParallelEdges(weights);
+    EdgeFolder folder;
+    folder.fold(weights, num_vertices);
 
     // Per-level buffers, reused across levels.
     std::vector<char> matched;
@@ -167,9 +143,9 @@ coarsen(const Ddg &ddg, const MachineConfig &mach, int ii,
     };
 
     while (num_vertices > clusters) {
-        // The matching reorders the edges in place; the fold below
-        // restores the (a, b) order, and summing parallel weights
-        // does not depend on the order they arrive in.
+        // Every (a, b) key is unique after the fold, so this order
+        // is total: the matching does not depend on the order the
+        // fold left the edges in.
         sortForMatching(weights);
         matched.assign(num_vertices, 0);
         // Never contract past the target count.
@@ -217,7 +193,7 @@ coarsen(const Ddg &ddg, const MachineConfig &mach, int ii,
             weights[kept++] = {a, b, weights[i].weight};
         }
         weights.resize(kept);
-        foldParallelEdges(weights);
+        folder.fold(weights, next);
 
         // Record the level as original-node -> group.
         for (int &v : vertex_of) {

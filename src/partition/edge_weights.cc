@@ -2,16 +2,18 @@
 
 #include <algorithm>
 
-#include "ddg/analysis.hh"
 
 namespace cvliw
 {
 
 std::vector<long long>
-computeEdgeWeights(const Ddg &ddg, const MachineConfig &mach)
+computeEdgeWeights(const Ddg &ddg, const MachineConfig &mach,
+                   AnalysisCache *cache)
 {
-    const NodeTimes times = computeTimes(ddg, mach);
-    const auto scc = stronglyConnectedComponents(ddg);
+    AnalysisCache local;
+    AnalysisCache &memo = cache ? *cache : local;
+    const NodeTimes &times = memo.times(ddg, mach);
+    const std::vector<int> &scc = memo.scc(ddg);
     const int bus_lat = std::max(1, mach.busLatency());
 
     std::vector<long long> w(ddg.numEdgeSlots(), 0);

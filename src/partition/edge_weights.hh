@@ -12,6 +12,7 @@
 
 #include <vector>
 
+#include "ddg/analysis.hh"
 #include "ddg/ddg.hh"
 
 namespace cvliw
@@ -26,9 +27,14 @@ namespace cvliw
  *  - slack: if the edge's slack is below the bus latency, cutting it
  *    lengthens the critical path by the shortfall;
  *  - a base weight of 1 so any flow edge beats no edge.
+ *
+ * @param cache optional memo of the node times and SCCs; the pipeline
+ *        passes the one minimumIi() already filled with the SCCs, so
+ *        neither Tarjan nor the topological order runs again
  */
 std::vector<long long> computeEdgeWeights(const Ddg &ddg,
-                                          const MachineConfig &mach);
+                                          const MachineConfig &mach,
+                                          AnalysisCache *cache = nullptr);
 
 } // namespace cvliw
 

@@ -30,6 +30,29 @@ struct MatchEdge
 void sortForMatching(std::vector<MatchEdge> &edges);
 
 /**
+ * Folds parallel contraction edges into one edge per (a, b) key with
+ * the summed weight, in one O(E + V) bucket pass: a counting sort by
+ * `a`, then a first-seen slot per `b` within each `a` group. The
+ * output is grouped by ascending `a`, each group in the first-arrival
+ * order of its `b`s. It is not sorted, but every key is unique, so
+ * sortForMatching() orders it totally and the matching does not
+ * depend on the order the edges came in; integer sums do not either.
+ * The buffers are kept across calls.
+ */
+class EdgeFolder
+{
+  public:
+    /** Fold @p edges, whose endpoints lie in [0, @p num_vertices). */
+    void fold(std::vector<MatchEdge> &edges, int num_vertices);
+
+  private:
+    std::vector<int> start_;        //!< per `a`: scatter cursor
+    std::vector<int> seen_;         //!< per `b`: last `a` group seen
+    std::vector<int> slot_;         //!< per `b`: its kept index there
+    std::vector<MatchEdge> sorted_; //!< edges grouped by `a`
+};
+
+/**
  * Greedy matching over @p edges already in sortForMatching() order:
  * an edge is matched when both endpoints are free and @p feasible
  * allows the pair. Stops after @p limit pairs; the pairs found are

@@ -12,7 +12,7 @@ namespace cvliw
 
 PartitionResult
 multilevelPartition(const Ddg &ddg, const MachineConfig &mach, int ii,
-                    PseudoScratch *scratch)
+                    PseudoScratch *scratch, AnalysisCache *analyses)
 {
     PartitionResult result{
         Partition(mach.numClusters(), ddg.numNodeSlots()),
@@ -24,7 +24,7 @@ multilevelPartition(const Ddg &ddg, const MachineConfig &mach, int ii,
         return result;
     }
 
-    const auto weights = computeEdgeWeights(ddg, mach);
+    const auto weights = computeEdgeWeights(ddg, mach, analyses);
     result.hierarchy = coarsen(ddg, mach, ii, weights);
 
     // Project: bin-pack the final macro-nodes into clusters. Heavier

@@ -27,10 +27,13 @@ struct PartitionResult
  * For a unified machine all nodes land in cluster 0.
  * @param scratch optional reusable refinement state (see
  *        refinePartition)
+ * @param analyses optional analysis memo for the edge weighting (see
+ *        computeEdgeWeights)
  */
 PartitionResult multilevelPartition(const Ddg &ddg,
                                     const MachineConfig &mach, int ii,
-                                    PseudoScratch *scratch = nullptr);
+                                    PseudoScratch *scratch = nullptr,
+                                    AnalysisCache *analyses = nullptr);
 
 } // namespace cvliw
 

@@ -11,14 +11,13 @@ Partition::Partition(int num_clusters, int num_node_slots)
     cv_assert(num_clusters >= 1);
 }
 
-int
-Partition::clusterOf(NodeId n) const
+void
+Partition::badNode(NodeId n) const
 {
     cv_assert(n >= 0 && n < static_cast<NodeId>(clusterOf_.size()),
               "node ", n, " outside partition");
-    const int c = clusterOf_[n];
-    cv_assert(c >= 0, "node ", n, " not assigned to a cluster");
-    return c;
+    cv_panic("assertion failed: c >= 0 node ", n,
+             " not assigned to a cluster");
 }
 
 bool

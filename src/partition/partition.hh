@@ -31,8 +31,17 @@ class Partition
 
     int numClusters() const { return numClusters_; }
 
-    /** Cluster of @p n; fatal if unassigned. */
-    int clusterOf(NodeId n) const;
+    /**
+     * Cluster of @p n; panics (on a cold out-of-line path) when @p n
+     * is outside the array or unassigned.
+     */
+    int clusterOf(NodeId n) const
+    {
+        if (static_cast<std::size_t>(n) >= clusterOf_.size() ||
+            clusterOf_[static_cast<std::size_t>(n)] < 0)
+            badNode(n);
+        return clusterOf_[static_cast<std::size_t>(n)];
+    }
 
     /** True when @p n has been assigned. */
     bool isAssigned(NodeId n) const;
@@ -54,6 +63,9 @@ class Partition
                                         const MachineConfig &mach) const;
 
   private:
+    /** Cold path of clusterOf(): panic naming @p n. */
+    [[noreturn, gnu::cold, gnu::noinline]] void badNode(NodeId n) const;
+
     int numClusters_;
     std::vector<int> clusterOf_;
 };

@@ -19,10 +19,15 @@ namespace cvliw
 /**
  * Hill-climb on single-node moves until a full pass makes no
  * improvement (bounded by @p max_passes). Each candidate move is
- * evaluated incrementally against the current best via
- * PseudoScratch::probeMove (see sched/pseudo.hh for the delta
- * invariants); the result is identical to probing every candidate
- * with a from-scratch pseudoSchedule.
+ * evaluated against the current best via PseudoScratch::probeMove
+ * (see sched/pseudo.hh for the decision order and the invariants).
+ * Most probes are decided read-only, in O(deg n), from the moved
+ * assignment's iiPart, overflow and comms; only the rest apply the
+ * move, restart ASAP at the node's topological position, run the
+ * register sweep if it can matter, and undo. Only a commit changes
+ * the bound state (and rebases the ASAP times from the committed
+ * node on). The result is identical to probing every candidate with
+ * a from-scratch pseudoSchedule.
  *
  * Converged-tail stop: a pass ends the climb as soon as it has
  * visited the node of the previous pass's last commit without

@@ -21,7 +21,8 @@ constexpr auto numKinds =
  * the bus latency: the time base of both the length estimate and the
  * register sweep. This and the other Ddg-walking kernels below serve
  * only the from-scratch oracle; the probe path runs its own kernels
- * over PseudoScratch's flat snapshot.
+ * over PseudoScratch's flat snapshot. Both paths share the sweep's
+ * difference-array helpers and resourcePressure.
  */
 void
 asapWithBusPenalty(const Ddg &ddg, const MachineConfig &mach,
@@ -60,18 +61,35 @@ lengthFromAsap(const Ddg &ddg, const MachineConfig &mach,
 }
 
 /**
+ * Size and clear the per-cluster sweep buffers: one difference array
+ * of @p length + 1 slots per cluster, and the carried counts. Every
+ * interval of a sweep lies in [0, length]: it ends at a consumer's
+ * ASAP time, which is below the schedule length.
+ */
+void
+resetSweep(int clusters, int length, std::vector<int> &diff,
+           std::vector<int> &carried)
+{
+    diff.assign(static_cast<std::size_t>(clusters) *
+                    static_cast<std::size_t>(length + 1),
+                0);
+    carried.assign(clusters, 0);
+}
+
+/**
  * Record the register instances of one value: the home cluster holds
  * it from definition @p def to its last local read, every remote
  * consumer cluster from bus arrival to its last read there, and
  * loop-carried consumers pin @p max_dist permanently live instances.
  * @p last is -1 (and @p max_dist 0) for clusters without a consumer.
+ * An interval [begin, end) adds +1 at begin and -1 at end of its
+ * cluster's difference array (@p span slots per cluster).
  */
 void
 addValueInstances(int home, int def, int bus_lat,
                   const std::vector<int> &last,
-                  const std::vector<int> &max_dist,
-                  std::vector<std::vector<std::pair<int, int>>> &events,
-                  std::vector<int> &carried)
+                  const std::vector<int> &max_dist, int span,
+                  std::vector<int> &diff, std::vector<int> &carried)
 {
     const int clusters = static_cast<int>(last.size());
     for (int c = 0; c < clusters; ++c) {
@@ -79,59 +97,54 @@ addValueInstances(int home, int def, int bus_lat,
             continue;
         const int begin = c == home ? def : def + bus_lat;
         if (last[c] > begin) {
-            events[c].push_back({begin, +1});
-            events[c].push_back({last[c], -1});
+            int *d = &diff[static_cast<std::size_t>(c) *
+                           static_cast<std::size_t>(span)];
+            ++d[begin];
+            --d[last[c]];
         }
         carried[c] += max_dist[c];
     }
 }
 
-/** Per-cluster peak of the interval events plus carried instances. */
+/**
+ * Per-cluster peak of the intervals plus carried instances. The
+ * peak prefix sum of a difference array is the peak of the sorted
+ * event sweep: that sweep handles ends before starts at equal times,
+ * so it peaks only after all of a time's events, i.e. at a prefix
+ * sum.
+ */
 void
-peakWidths(std::vector<std::vector<std::pair<int, int>>> &events,
+peakWidths(const std::vector<int> &diff, int span,
            const std::vector<int> &carried, std::vector<int> &width)
 {
     const std::size_t clusters = carried.size();
     width.assign(clusters, 0);
     for (std::size_t c = 0; c < clusters; ++c) {
-        std::sort(events[c].begin(), events[c].end());
+        const int *d = &diff[c * static_cast<std::size_t>(span)];
         int live = 0, peak = 0;
-        for (const auto &[t, delta] : events[c]) {
-            (void)t;
-            live += delta;
+        for (int t = 0; t < span; ++t) {
+            live += d[t];
             peak = std::max(peak, live);
         }
         width[c] = peak + carried[c];
     }
 }
 
-/** Size and clear the per-cluster sweep buffers. */
-void
-resetSweep(int clusters,
-           std::vector<std::vector<std::pair<int, int>>> &events,
-           std::vector<int> &carried)
-{
-    events.resize(clusters);
-    for (auto &ev : events)
-        ev.clear();
-    carried.assign(clusters, 0);
-}
-
 /**
  * Register-width sweep: one interval per *instance* of each value
- * (see addValueInstances). All buffers are caller-owned and reused
- * across calls.
+ * (see addValueInstances), over ASAP times whose schedule length is
+ * @p length. All buffers are caller-owned and reused across calls.
  */
 void
 widthSweep(const Ddg &ddg, const MachineConfig &mach,
            const std::vector<int> &cluster_of,
-           const std::vector<int> &asap,
-           std::vector<std::vector<std::pair<int, int>>> &events,
-           std::vector<int> &carried, std::vector<int> &last,
-           std::vector<int> &max_dist, std::vector<int> &width)
+           const std::vector<int> &asap, int length,
+           std::vector<int> &diff, std::vector<int> &carried,
+           std::vector<int> &last, std::vector<int> &max_dist,
+           std::vector<int> &width)
 {
     const int clusters = mach.numClusters();
-    resetSweep(clusters, events, carried);
+    resetSweep(clusters, length, diff, carried);
 
     for (NodeId v : ddg.nodes()) {
         const DdgNode &node = ddg.node(v);
@@ -150,10 +163,10 @@ widthSweep(const Ddg &ddg, const MachineConfig &mach,
                 max_dist[c] = std::max(max_dist[c], e.distance);
         }
         addValueInstances(cluster_of[v], asap[v] + mach.latency(node.cls),
-                          mach.busLatency(), last, max_dist, events,
-                          carried);
+                          mach.busLatency(), last, max_dist, length + 1,
+                          diff, carried);
     }
-    peakWidths(events, carried, width);
+    peakWidths(diff, length + 1, carried, width);
 }
 
 /** Units of each resource kind per cluster, indexed by kind. */
@@ -166,17 +179,27 @@ capacities(const MachineConfig &mach)
     return avail;
 }
 
+/** ceil(@p u / @p units) for u >= 0, units > 0. */
+int
+ceilDiv(int u, int units)
+{
+    return (u + units - 1) / units;
+}
+
 /**
  * Resource-induced II and slot overflow from kind-major usage
  * counts, with @p avail from capacities(). @p overflow is accumulated
- * into (callers start it at the bus contribution or zero).
+ * into (callers start it at the bus contribution or zero). When
+ * @p at_max is given, it receives the number of (kind, cluster)
+ * cells whose ceil(u / units) equals the returned II.
  */
 void
 resourcePressure(const std::array<int, numKinds> &avail,
                  const int *usage, int clusters, int ii, int &ii_res,
-                 int &overflow)
+                 int &overflow, int *at_max = nullptr)
 {
     ii_res = 1;
+    int cells = 0;
     for (std::size_t k = 0; k < numKinds; ++k) {
         if (static_cast<ResourceKind>(k) == ResourceKind::Bus)
             continue;
@@ -191,10 +214,34 @@ resourcePressure(const std::array<int, numKinds> &avail,
                 overflow += 1000 * u;
                 continue;
             }
-            ii_res = std::max(ii_res, (u + units - 1) / units);
+            const int need = ceilDiv(u, units);
+            if (need > ii_res) {
+                ii_res = need;
+                cells = 1;
+            } else if (need == ii_res) {
+                ++cells;
+            }
             overflow += std::max(0, u - units * ii);
         }
     }
+    if (at_max)
+        *at_max = cells;
+}
+
+/**
+ * The cheap fields of a result from its resource II and overflow,
+ * its communication count and its op-count spread.
+ */
+PseudoResult
+cheapFields(int ii_res, int res_overflow, int comms, int imbalance,
+            const MachineConfig &mach, int ii)
+{
+    PseudoResult r;
+    r.comms = comms;
+    r.overflow = res_overflow + extraComs(comms, mach, ii);
+    r.iiPart = std::max(ii_res, minBusIi(comms, mach));
+    r.imbalance = imbalance;
+    return r;
 }
 
 } // namespace
@@ -253,9 +300,9 @@ pseudoSchedule(const Ddg &ddg, const MachineConfig &mach,
     r.length = lengthFromAsap(ddg, mach, order, scratch.estFull_);
 
     // --- Register width. ------------------------------------------------
-    widthSweep(ddg, mach, cluster_of, scratch.estFull_, scratch.events_,
-               scratch.carried_, scratch.last_, scratch.maxDist_,
-               scratch.width_);
+    widthSweep(ddg, mach, cluster_of, scratch.estFull_, r.length,
+               scratch.diff_, scratch.carried_, scratch.last_,
+               scratch.maxDist_, scratch.width_);
     for (int c = 0; c < clusters; ++c) {
         r.regOverflow +=
             std::max(0, scratch.width_[c] - mach.regsPerCluster());
@@ -297,9 +344,12 @@ PseudoScratch::bind(const Ddg &ddg, const MachineConfig &mach,
     // Distance-0 in-edges in topological order, latencies resolved.
     const auto &topo = cache_.topo(ddg);
     order_.assign(topo.begin(), topo.end());
+    pos_.assign(slots, -1);
     inBegin_.clear();
     inEdges_.clear();
-    for (NodeId n : order_) {
+    for (std::size_t i = 0; i < order_.size(); ++i) {
+        const NodeId n = order_[i];
+        pos_[n] = static_cast<int>(i);
         inBegin_.push_back(static_cast<int>(inEdges_.size()));
         for (EdgeId eid : ddg.inEdgesRaw(n)) {
             const DdgEdge &e = ddg.edge(eid);
@@ -312,7 +362,8 @@ PseudoScratch::bind(const Ddg &ddg, const MachineConfig &mach,
     }
     inBegin_.push_back(static_cast<int>(inEdges_.size()));
 
-    // Per node: the tracked producers of its live flow in-edges.
+    // Per node: its distinct tracked producers, each with the number
+    // of live flow edges it feeds n through.
     prodBegin_.assign(static_cast<std::size_t>(slots) + 1, 0);
     prods_.clear();
     for (NodeId n = 0; n < slots; ++n) {
@@ -321,9 +372,16 @@ PseudoScratch::bind(const Ddg &ddg, const MachineConfig &mach,
             continue;
         for (EdgeId eid : ddg.inEdgesRaw(n)) {
             const DdgEdge &e = ddg.edge(eid);
-            if (e.alive && e.kind == EdgeKind::RegFlow &&
-                tracked_[e.src])
-                prods_.push_back(e.src);
+            if (!e.alive || e.kind != EdgeKind::RegFlow ||
+                !tracked_[e.src])
+                continue;
+            const auto seen = std::find_if(
+                prods_.begin() + prodBegin_[n], prods_.end(),
+                [&](const FlowProducer &fp) { return fp.node == e.src; });
+            if (seen != prods_.end())
+                ++seen->edges;
+            else
+                prods_.push_back({e.src, 1});
         }
     }
     prodBegin_[slots] = static_cast<int>(prods_.size());
@@ -354,7 +412,6 @@ PseudoScratch::bind(const Ddg &ddg, const MachineConfig &mach,
                     0);
     remoteCnt_.assign(slots, 0);
     commCount_ = 0;
-    est_.assign(slots, 0);
 
     for (NodeId n : ddg.nodes()) {
         if (kind_[n] < 0)
@@ -366,6 +423,7 @@ PseudoScratch::bind(const Ddg &ddg, const MachineConfig &mach,
                  static_cast<std::size_t>(c)];
         ++ops_[c];
     }
+    summarizePressure();
 
     long long dist_sum = 0;
     for (std::size_t i = 0; i < values_.size(); ++i) {
@@ -397,38 +455,120 @@ PseudoScratch::bind(const Ddg &ddg, const MachineConfig &mach,
     widthCanOverflow_ =
         static_cast<long long>(values_.size()) + dist_sum > regs_;
 
-    PseudoResult r = cheapResult();
-    r.length = asapLength();
+    // The ASAP base of the starting assignment.
+    est_.assign(slots, 0);
+    baseEst_.assign(slots, 0);
+    prefixLen_.assign(order_.size() + 1, 0);
+    dirtyFrom_ = 0;
+    rebase(0);
+
+    const auto [mn, mx] = std::minmax_element(ops_.begin(), ops_.end());
+    PseudoResult r = cheapFields(resIi_, resOverflow_, commCount_,
+                                 *mx - *mn, mach, ii);
+    r.length = prefixLen_.back();
     if (widthCanOverflow_)
-        r.regOverflow = regOverflow();
+        r.regOverflow = regOverflow(r.length);
     return r;
 }
 
-PseudoResult
-PseudoScratch::cheapResult() const
+void
+PseudoScratch::summarizePressure()
 {
-    PseudoResult r;
-    int ii_res = 1;
-    resourcePressure(avail_, usage_.data(), clusters_, ii_, ii_res,
-                     r.overflow);
-    r.comms = commCount_;
-    const int ii_bus = minBusIi(r.comms, *mach_);
-    r.overflow += extraComs(r.comms, *mach_, ii_);
-    r.iiPart = std::max(ii_res, ii_bus);
-    const auto [mn, mx] = std::minmax_element(ops_.begin(), ops_.end());
-    r.imbalance = *mx - *mn;
-    return r;
+    resOverflow_ = 0;
+    resourcePressure(avail_, usage_.data(), clusters_, ii_, resIi_,
+                     resOverflow_, &resIiCells_);
 }
 
 int
-PseudoScratch::asapLength()
+PseudoScratch::commDelta(NodeId n, int to) const
 {
+    const int from = assign_[n];
+    int delta = 0;
+    int self_edges = 0;
+    for (int j = prodBegin_[n]; j < prodBegin_[n + 1]; ++j) {
+        const FlowProducer &fp = prods_[j];
+        const NodeId p = fp.node;
+        if (p == n) {
+            self_edges = fp.edges;
+            continue;
+        }
+        // p's consumers in `from` drop by fp.edges, those in `to`
+        // rise by as many; only p's home cluster never counts.
+        const int *cnt = &consCnt_[static_cast<std::size_t>(p) *
+                                   static_cast<std::size_t>(clusters_)];
+        const int p_home = assign_[p];
+        int rc = remoteCnt_[p];
+        if (from != p_home && cnt[from] == fp.edges)
+            --rc;
+        if (to != p_home && cnt[to] == 0)
+            ++rc;
+        delta += (rc > 0) - (remoteCnt_[p] > 0);
+    }
+    if (tracked_[n]) {
+        // n's own value changes home: `to` stops counting as remote,
+        // `from` starts to if a consumer other than a self-loop
+        // stays there.
+        const int *cnt = &consCnt_[static_cast<std::size_t>(n) *
+                                   static_cast<std::size_t>(clusters_)];
+        const int rc = remoteCnt_[n] - (cnt[to] > 0) +
+                       (cnt[from] - self_edges > 0);
+        delta += (rc > 0) - (remoteCnt_[n] > 0);
+    }
+    return delta;
+}
+
+PseudoResult
+PseudoScratch::movedCheap(NodeId n, int to) const
+{
+    const int from = assign_[n];
+    int ii_res = resIi_;
+    int overflow = resOverflow_;
+    const auto k = static_cast<std::size_t>(kind_[n]);
+    const int units = avail_[k];
+    if (units > 0) {
+        // Only n's kind changes, in two cells, and each cell's
+        // ceil(u / units) moves by at most one: the II falls (to one
+        // below) only when the source cell alone held it.
+        const int *u = &usage_[k * static_cast<std::size_t>(clusters_)];
+        const int uf = u[from], ut = u[to];
+        if (resIiCells_ == 1 && ceilDiv(uf, units) == resIi_ &&
+            ceilDiv(uf - 1, units) < resIi_)
+            ii_res = std::max(1, resIi_ - 1);
+        ii_res = std::max(ii_res, ceilDiv(ut + 1, units));
+        const int cap = units * ii_;
+        overflow += std::max(0, uf - 1 - cap) - std::max(0, uf - cap) +
+                    std::max(0, ut + 1 - cap) - std::max(0, ut - cap);
+    }
+    // With no units, the 1000 * u penalty moves between two cells of
+    // the same kind and its sum stays.
+
+    int lo = 0, hi = 0;
+    for (int c = 0; c < clusters_; ++c) {
+        const int ops = ops_[c] - (c == from) + (c == to);
+        if (c == 0 || ops < lo)
+            lo = ops;
+        if (c == 0 || ops > hi)
+            hi = ops;
+    }
+    return cheapFields(ii_res, overflow, commCount_ + commDelta(n, to),
+                       hi - lo, *mach_, ii_);
+}
+
+int
+PseudoScratch::asapLength(int start)
+{
+    // Positions before `start` keep their base times (invariant 4);
+    // restore those a previous suffix pass overwrote.
+    for (int i = dirtyFrom_; i < start; ++i) {
+        const NodeId n = order_[i];
+        est_[n] = baseEst_[n];
+    }
     // ASAP over the snapshot's in-edges: a cut register-flow edge
     // pays its bus penalty. Every live node is in order_, so est_ of
     // the nodes the sweep reads is always freshly written.
-    int length = 0;
-    const std::size_t num = order_.size();
-    for (std::size_t i = 0; i < num; ++i) {
+    int length = prefixLen_[start];
+    const int num = static_cast<int>(order_.size());
+    for (int i = start; i < num; ++i) {
         const NodeId n = order_[i];
         const int home = assign_[n];
         int t = 0;
@@ -441,13 +581,27 @@ PseudoScratch::asapLength()
         est_[n] = t;
         length = std::max(length, t + nodeLat_[n]);
     }
+    dirtyFrom_ = start;
     return length;
 }
 
-int
-PseudoScratch::regOverflow()
+void
+PseudoScratch::rebase(int start)
 {
-    resetSweep(clusters_, events_, carried_);
+    asapLength(start);
+    const int num = static_cast<int>(order_.size());
+    for (int i = start; i < num; ++i) {
+        const NodeId n = order_[i];
+        baseEst_[n] = est_[n];
+        prefixLen_[i + 1] = std::max(prefixLen_[i], est_[n] + nodeLat_[n]);
+    }
+    dirtyFrom_ = num;
+}
+
+int
+PseudoScratch::regOverflow(int length)
+{
+    resetSweep(clusters_, length, diff_, carried_);
     for (std::size_t i = 0; i < values_.size(); ++i) {
         const NodeId v = values_[i];
         last_.assign(clusters_, -1);
@@ -461,9 +615,9 @@ PseudoScratch::regOverflow()
                 maxDist_[c] = std::max(maxDist_[c], o.distance);
         }
         addValueInstances(assign_[v], est_[v] + nodeLat_[v], bus_,
-                          last_, maxDist_, events_, carried_);
+                          last_, maxDist_, length + 1, diff_, carried_);
     }
-    peakWidths(events_, carried_, width_);
+    peakWidths(diff_, length + 1, carried_, width_);
     int deficit = 0;
     for (int c = 0; c < clusters_; ++c)
         deficit += std::max(0, width_[c] - regs_);
@@ -490,24 +644,27 @@ PseudoScratch::applyMove(NodeId n, int to)
     if (tracked_[n] && remoteCnt_[n] > 0)
         --commCount_;
 
-    // Every producer feeding n loses a consumer in `from` and gains
-    // one in `to`.
+    // Every producer feeding n loses its edges' consumers in `from`
+    // and gains them in `to`.
     for (int j = prodBegin_[n]; j < prodBegin_[n + 1]; ++j) {
-        const NodeId p = prods_[j];
+        const FlowProducer &fp = prods_[j];
+        const NodeId p = fp.node;
         int *cnt = &consCnt_[static_cast<std::size_t>(p) *
                              static_cast<std::size_t>(clusters_)];
         if (p == n) {
             // Self-recurrence: folded into the wholesale recheck.
-            --cnt[from];
-            ++cnt[to];
+            cnt[from] -= fp.edges;
+            cnt[to] += fp.edges;
             continue;
         }
         const int p_home = assign_[p];
-        if (--cnt[from] == 0 && from != p_home) {
+        if ((cnt[from] -= fp.edges) == 0 && from != p_home) {
             if (--remoteCnt_[p] == 0)
                 --commCount_;
         }
-        if (cnt[to]++ == 0 && to != p_home) {
+        const int had = cnt[to];
+        cnt[to] += fp.edges;
+        if (had == 0 && to != p_home) {
             if (remoteCnt_[p]++ == 0)
                 ++commCount_;
         }
@@ -530,19 +687,19 @@ PseudoScratch::applyMove(NodeId n, int to)
 }
 
 bool
-PseudoScratch::evalAgainst(const PseudoResult &best, PseudoResult &out)
+PseudoScratch::evalAgainst(PseudoResult r, int start,
+                           const PseudoResult &best, PseudoResult &out)
 {
-    // Cheap fields first: resource/bus pressure, comms, imbalance.
-    PseudoResult r = cheapResult();
-    if (r.iiPart > best.iiPart)
-        return false;
+    // The caller's verdict left iiPart <= best.iiPart.
     const bool accept_on_ii = r.iiPart < best.iiPart;
 
     // The ASAP pass yields the length and the sweep's time base.
     bool have_length = false;
     auto ensure_length = [&] {
         if (!have_length) {
-            r.length = asapLength();
+            r.length = asapLength(start);
+            if (start > 0)
+                ++suffixAsaps_;
             have_length = true;
         }
     };
@@ -568,7 +725,7 @@ PseudoScratch::evalAgainst(const PseudoResult &best, PseudoResult &out)
 
     if (widthCanOverflow_) {
         ensure_length();
-        r.regOverflow = regOverflow();
+        r.regOverflow = regOverflow(r.length);
         if (!accept_on_ii && r.regOverflow > 0 &&
             !wins_at(r.overflow + r.regOverflow)) {
             return false;
@@ -598,12 +755,26 @@ PseudoScratch::probeMove(NodeId n, int c, const PseudoResult &best,
     if (units > 0) {
         const int u = usage_[k * static_cast<std::size_t>(clusters_) +
                              static_cast<std::size_t>(c)] + 1;
-        if ((u + units - 1) / units > best.iiPart)
+        if (ceilDiv(u, units) > best.iiPart)
             return false;
     }
 
+    // Read-only verdict on the cheap fields (invariant 2): a larger
+    // iiPart, or at equal iiPart a larger deficit or, at equal
+    // deficit, more comms, loses at every length and register width.
+    const PseudoResult r = movedCheap(n, c);
+    if (r.iiPart > best.iiPart)
+        return false;
+    if (r.iiPart == best.iiPart) {
+        const int best_deficit = best.overflow + best.regOverflow;
+        if (r.overflow != best_deficit ? r.overflow > best_deficit
+                                       : r.comms > best.comms)
+            return false;
+    }
+
+    ++fullEvals_;
     applyMove(n, c);
-    const bool accepted = evalAgainst(best, out);
+    const bool accepted = evalAgainst(r, pos_[n], best, out);
     applyMove(n, from);
     return accepted;
 }
@@ -616,6 +787,9 @@ PseudoScratch::commitMove(NodeId n, int c)
     if (c == assign_[n])
         return;
     applyMove(n, c);
+    summarizePressure();
+    rebase(pos_[n]);
+    ++rebases_;
 }
 
 } // namespace cvliw

@@ -8,7 +8,12 @@
  *    over random move sequences on generated loops, including a
  *    register-starved config where the register sweep decides
  *    probes, a machine with no units of one kind, and one scratch
- *    rebound across graphs and machines,
+ *    rebound across graphs and machines; and over every probe of
+ *    hand-built loops with parallel flow edges and a self-loop,
+ *  - every branch of the probe path is taken (the read-only verdict,
+ *    the full path, a suffix ASAP, a rebase at commit),
+ *  - the difference-array register sweep agrees with the sorted
+ *    event sweep it replaced,
  *  - CommInfo::update patches exactly to what a full rescan computes,
  *  - AnalysisCache / SchedulerCache never reuse results across
  *    machine configs (the generation-only-key regression).
@@ -16,6 +21,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
+#include "ddg/analysis.hh"
 #include "ddg/builder.hh"
 #include "partition/multilevel.hh"
 #include "partition/partition.hh"
@@ -64,7 +73,93 @@ struct ProbeStats
     int capacityRejects = 0;
     /** Accepted moves of a node whose kind has no units. */
     int zeroUnitAccepted = 0;
+    // Branches of the probe path, read from the engine's counters.
+    /** Rejected by the read-only verdict on the cheap fields. */
+    int verdictRejects = 0;
+    /** Left open by that verdict: applied and evaluated. */
+    int fullEvals = 0;
+    /** Ran ASAP from a topological position past 0. */
+    int suffixAsaps = 0;
+    /** Commits that rebased the ASAP base. */
+    int rebases = 0;
 };
+
+/** Is the probe of moving @p n to @p c decided by the O(1) bound? */
+bool
+capacityDecides(const Ddg &ddg, const MachineConfig &m,
+                const std::vector<int> &moved, NodeId n, int c,
+                const PseudoResult &best)
+{
+    const ResourceKind kind = m.resourceFor(ddg.node(n).cls);
+    const int units = m.available(kind);
+    int u = 0;
+    for (NodeId v : ddg.nodes()) {
+        if (moved[v] == c && ddg.node(v).cls != OpClass::Copy &&
+            m.resourceFor(ddg.node(v).cls) == kind)
+            ++u;
+    }
+    return units > 0 && (u + units - 1) / units > best.iiPart;
+}
+
+/**
+ * Probe moving @p n to @p c against @p best on @p inc and on the
+ * oracle: the verdict must agree, an accepted result must match, and
+ * the engine's branch counters feed @p stats. Returns the verdict.
+ */
+bool
+checkProbe(const Ddg &ddg, const MachineConfig &m, int ii,
+           PseudoScratch &inc, NodeId n, int c, const PseudoResult &best,
+           ProbeStats &stats, const std::string &what,
+           PseudoResult *full_out = nullptr)
+{
+    PseudoScratch oracle;
+    std::vector<int> moved = inc.assignment();
+    moved[n] = c;
+    const PseudoResult full = pseudoSchedule(ddg, m, moved, ii, oracle);
+    if (full_out)
+        *full_out = full;
+    const bool capacity = capacityDecides(ddg, m, moved, n, c, best);
+    if (capacity)
+        ++stats.capacityRejects;
+
+    const std::uint64_t full0 = inc.fullEvalCount();
+    const std::uint64_t suffix0 = inc.suffixAsapCount();
+    PseudoResult out;
+    const bool accepted = inc.probeMove(n, c, best, out);
+    EXPECT_EQ(accepted, full.better(best))
+        << what << ": node " << n << " to " << c;
+    if (accepted)
+        expectSameResult(out, full, what.c_str());
+    const bool evaluated = inc.fullEvalCount() > full0;
+    if (evaluated)
+        ++stats.fullEvals;
+    else if (!accepted && !capacity)
+        ++stats.verdictRejects;
+    EXPECT_TRUE(evaluated || !accepted) << what;
+    if (inc.suffixAsapCount() > suffix0)
+        ++stats.suffixAsaps;
+
+    if (full.regOverflow > 0) {
+        PseudoResult width0 = full;
+        width0.regOverflow = 0;
+        ++(accepted ? stats.regAccepted : stats.regRejected);
+        if (!accepted && width0.better(best))
+            ++stats.regRejectedBySweep;
+    }
+    if (accepted && m.available(m.resourceFor(ddg.node(n).cls)) == 0)
+        ++stats.zeroUnitAccepted;
+    return accepted;
+}
+
+/** Commit moving @p n to @p c, counting the rebase it must do. */
+void
+commitCounted(PseudoScratch &inc, NodeId n, int c, ProbeStats &stats)
+{
+    const std::uint64_t rebases0 = inc.rebaseCount();
+    inc.commitMove(n, c);
+    if (inc.rebaseCount() > rebases0)
+        ++stats.rebases;
+}
 
 /**
  * Walk 80 random single-node moves of @p loop on @p m at @p ii from
@@ -106,46 +201,18 @@ checkRandomMoves(const Loop &loop, const MachineConfig &m, int ii,
         if (c == inc.assignment()[n])
             continue;
 
-        std::vector<int> moved = inc.assignment();
-        moved[n] = c;
-        const PseudoResult full =
-            pseudoSchedule(loop.ddg, m, moved, ii, oracle);
-
-        // Does the O(1) bound decide this probe? Count n's kind on c
-        // after the move, from the oracle's side.
-        const ResourceKind kind = m.resourceFor(loop.ddg.node(n).cls);
-        const int units = m.available(kind);
-        int u = 0;
-        for (NodeId v : nodes) {
-            if (moved[v] == c &&
-                loop.ddg.node(v).cls != OpClass::Copy &&
-                m.resourceFor(loop.ddg.node(v).cls) == kind)
-                ++u;
-        }
-        if (units > 0 && (u + units - 1) / units > best.iiPart)
-            ++stats.capacityRejects;
-
-        PseudoResult out;
-        const bool accepted = inc.probeMove(n, c, best, out);
-        ASSERT_EQ(accepted, full.better(best))
-            << loop.name() << " step " << step;
-        if (full.regOverflow > 0) {
-            PseudoResult width0 = full;
-            width0.regOverflow = 0;
-            ++(accepted ? stats.regAccepted : stats.regRejected);
-            if (!accepted && width0.better(best))
-                ++stats.regRejectedBySweep;
-        }
-        if (accepted && units == 0)
-            ++stats.zeroUnitAccepted;
+        PseudoResult full;
+        const bool accepted =
+            checkProbe(loop.ddg, m, ii, inc, n, c, best, stats,
+                       loop.name() + " step " + std::to_string(step),
+                       &full);
         if (accepted) {
-            expectSameResult(out, full, loop.name().c_str());
-            best = out;
-            inc.commitMove(n, c);
+            best = full;
+            commitCounted(inc, n, c, stats);
         } else if (step % 5 == 0) {
             // Also walk through non-improving states so the
             // sequence is not a pure hill-climb.
-            inc.commitMove(n, c);
+            commitCounted(inc, n, c, stats);
             best = full;
         }
 
@@ -191,6 +258,258 @@ TEST(Incremental, DeltaPseudoMatchesOracleOnRandomMoves)
     EXPECT_GT(stats.regAccepted, 0);
     EXPECT_GT(stats.regRejected, 0);
     EXPECT_GT(stats.regRejectedBySweep, 0);
+    // No branch of the probe path went dead.
+    EXPECT_GT(stats.verdictRejects, 0);
+    EXPECT_GT(stats.fullEvals, 0);
+    EXPECT_GT(stats.suffixAsaps, 0);
+    EXPECT_GT(stats.rebases, 0);
+}
+
+/**
+ * A loop with two register-flow edges p -> n (distance 0 and 1), a
+ * self-loop on the value producer acc and a producer (p) with
+ * consumers of several kinds, so moves shift a producer's consumer
+ * count by 2 and a value's own home interacts with its self-loop.
+ */
+Ddg
+parallelFlowLoop()
+{
+    DdgBuilder b;
+    b.op("ld", OpClass::Load);
+    b.op("p", OpClass::FpAlu, {"ld"});
+    b.op("n", OpClass::FpMul, {"p"});
+    b.flow("p", "n", 1);
+    b.op("acc", OpClass::FpAlu, {"n"});
+    b.flow("acc", "acc", 1);
+    b.op("q", OpClass::IntAlu, {"ld"});
+    b.op("r", OpClass::IntAlu, {"q", "p"});
+    b.op("st", OpClass::Store, {"acc"});
+    return b.take();
+}
+
+/**
+ * Nine independent ops, three of every kind: several (kind, cluster)
+ * cells share the resource II, no move ever communicates (so the bus
+ * never masks the resource II), and a move that drains one of the
+ * cells must leave the II where the others hold it.
+ */
+Ddg
+tiedPressureLoop()
+{
+    DdgBuilder b;
+    for (int i = 0; i < 3; ++i) {
+        const std::string k = std::to_string(i);
+        b.op("ld" + k, OpClass::Load);
+        b.op("a" + k, OpClass::IntAlu);
+        b.op("f" + k, OpClass::FpAlu);
+    }
+    return b.take();
+}
+
+/**
+ * Bind @p assign on @p inc, then check every (node, cluster) probe
+ * against the oracle, once against the bound result and once against
+ * @p other (a different best, so ties and wins on every field occur).
+ */
+void
+checkEveryProbe(const Ddg &g, const MachineConfig &m, int ii,
+                PseudoScratch &inc, const std::vector<int> &assign,
+                const PseudoResult &other, ProbeStats &stats,
+                const std::string &what)
+{
+    PseudoScratch oracle;
+    const PseudoResult bound = inc.bind(g, m, assign, ii);
+    expectSameResult(bound, pseudoSchedule(g, m, assign, ii, oracle),
+                     what.c_str());
+    for (const PseudoResult &best : {bound, other}) {
+        for (NodeId n : g.nodes()) {
+            for (int c = 0; c < m.numClusters(); ++c) {
+                if (c != inc.assignment()[n])
+                    checkProbe(g, m, ii, inc, n, c, best, stats, what);
+            }
+        }
+    }
+}
+
+/**
+ * Check every probe of @p g on roomy and register-starved files, on 2
+ * and 4 clusters: from every assignment on 2 clusters and a sample on
+ * 4, then again after a committed move.
+ */
+void
+checkHandBuiltLoop(const Ddg &g, Rng &rng, PseudoScratch &inc,
+                   ProbeStats &stats)
+{
+    const auto nodes = g.nodes().toVector();
+    for (const char *cfg :
+         {"2c1b2l64r", "2c1b2l4r", "4c2b2l64r", "4c1b4l8r"}) {
+        const auto m = MachineConfig::fromString(cfg);
+        const int clusters = m.numClusters();
+        const int mii = minimumIi(g, m);
+        const int count = clusters == 2 ? 1 << nodes.size() : 300;
+        for (int k = 0; k < count; ++k) {
+            std::vector<int> assign(g.numNodeSlots(), 0);
+            std::vector<int> other(g.numNodeSlots(), 0);
+            for (std::size_t i = 0; i < nodes.size(); ++i) {
+                assign[nodes[i]] =
+                    clusters == 2 ? (k >> i) & 1
+                                  : static_cast<int>(
+                                        rng.uniformInt(0, clusters - 1));
+                other[nodes[i]] =
+                    static_cast<int>(rng.uniformInt(0, clusters - 1));
+            }
+            const int ii = mii + k % 2;
+            PseudoScratch oracle;
+            const PseudoResult other_best =
+                pseudoSchedule(g, m, other, ii, oracle);
+            const std::string what =
+                std::string(cfg) + " assignment " + std::to_string(k);
+            checkEveryProbe(g, m, ii, inc, assign, other_best, stats,
+                            what);
+
+            // A committed move rebases the engine; every probe from
+            // the moved state must still agree.
+            const NodeId n = nodes[static_cast<std::size_t>(rng.uniformInt(
+                0, static_cast<int>(nodes.size()) - 1))];
+            const int c = (inc.assignment()[n] + 1) % clusters;
+            commitCounted(inc, n, c, stats);
+            EXPECT_EQ(inc.commCount(),
+                      findCommunications(g, inc.assignment()).count())
+                << what;
+            const PseudoResult moved =
+                pseudoSchedule(g, m, inc.assignment(), ii, oracle);
+            for (NodeId v : nodes) {
+                for (int to = 0; to < clusters; ++to) {
+                    if (to != inc.assignment()[v])
+                        checkProbe(g, m, ii, inc, v, to, moved, stats,
+                                   what + " after commit");
+                }
+            }
+        }
+    }
+}
+
+TEST(Incremental, EveryProbeMatchesOracleOnHandBuiltLoops)
+{
+    Rng rng(616);
+    ProbeStats stats;
+    PseudoScratch inc; // one scratch, rebound across both graphs
+    checkHandBuiltLoop(parallelFlowLoop(), rng, inc, stats);
+    checkHandBuiltLoop(tiedPressureLoop(), rng, inc, stats);
+    EXPECT_GT(stats.verdictRejects, 0);
+    EXPECT_GT(stats.fullEvals, 0);
+    EXPECT_GT(stats.suffixAsaps, 0);
+    EXPECT_GT(stats.rebases, 0);
+    EXPECT_GT(stats.regAccepted + stats.regRejected, 0);
+}
+
+/**
+ * The register deficit by the sorted event sweep the pseudo-scheduler
+ * used before its difference array: ASAP where cut flow edges pay the
+ * bus, one interval per value instance, events sorted by (time,
+ * delta) so that ends come before starts at equal times.
+ */
+int
+sortedSweepDeficit(const Ddg &ddg, const MachineConfig &mach,
+                   const std::vector<int> &cluster_of)
+{
+    std::vector<int> est(ddg.numNodeSlots(), 0);
+    for (NodeId n : topoOrder(ddg)) {
+        for (EdgeId eid : ddg.inEdges(n)) {
+            const DdgEdge &e = ddg.edge(eid);
+            if (e.distance != 0)
+                continue;
+            int lat = ddg.edgeLatency(eid, mach);
+            if (e.kind == EdgeKind::RegFlow &&
+                cluster_of[e.src] != cluster_of[e.dst])
+                lat += mach.busLatency();
+            est[n] = std::max(est[n], est[e.src] + lat);
+        }
+    }
+    const int clusters = mach.numClusters();
+    std::vector<std::vector<std::pair<int, int>>> events(clusters);
+    std::vector<int> carried(clusters, 0);
+    for (NodeId v : ddg.nodes()) {
+        const OpClass cls = ddg.node(v).cls;
+        if (!producesValue(cls) || cls == OpClass::Copy)
+            continue;
+        std::vector<int> last(clusters, -1), max_dist(clusters, 0);
+        for (EdgeId eid : ddg.outEdges(v)) {
+            const DdgEdge &e = ddg.edge(eid);
+            if (e.kind != EdgeKind::RegFlow)
+                continue;
+            const int c = cluster_of[e.dst];
+            if (e.distance == 0)
+                last[c] = std::max(last[c], est[e.dst]);
+            else
+                max_dist[c] = std::max(max_dist[c], e.distance);
+        }
+        const int def = est[v] + mach.latency(cls);
+        for (int c = 0; c < clusters; ++c) {
+            if (last[c] < 0 && max_dist[c] == 0)
+                continue;
+            const int begin =
+                c == cluster_of[v] ? def : def + mach.busLatency();
+            if (last[c] > begin) {
+                events[c].push_back({begin, +1});
+                events[c].push_back({last[c], -1});
+            }
+            carried[c] += max_dist[c];
+        }
+    }
+    int deficit = 0;
+    for (int c = 0; c < clusters; ++c) {
+        std::sort(events[c].begin(), events[c].end());
+        int live = 0, peak = 0;
+        for (const auto &ev : events[c]) {
+            live += ev.second;
+            peak = std::max(peak, live);
+        }
+        deficit += std::max(0, peak + carried[c] - mach.regsPerCluster());
+    }
+    return deficit;
+}
+
+TEST(Incremental, WidthSweepMatchesSortedEventOracle)
+{
+    // The 16-register starved configs, where widths exceed the file:
+    // the difference array must report the sorted sweep's deficit,
+    // on random assignments and on the multilevel partitions.
+    const auto &profiles = specFp95Profiles();
+    Rng rng(1616);
+    int deficits = 0, checked = 0;
+    for (const char *cfg : {"2c1b2l16r", "4c2b2l16r"}) {
+        const auto m = MachineConfig::fromString(cfg);
+        PseudoScratch scratch;
+        for (std::size_t pi = 0; pi < profiles.size(); ++pi) {
+            for (int index = 0; index < 2; ++index) {
+                const Loop loop = generateLoop(profiles[pi], rng, index);
+                const Ddg &g = loop.ddg;
+                const int ii = minimumIi(g, m);
+                std::vector<std::vector<int>> assigns{
+                    multilevelPartition(g, m, ii).partition.vec()};
+                for (int k = 0; k < 6; ++k) {
+                    std::vector<int> a(g.numNodeSlots(), 0);
+                    for (NodeId n : g.nodes()) {
+                        a[n] = static_cast<int>(
+                            rng.uniformInt(0, m.numClusters() - 1));
+                    }
+                    assigns.push_back(std::move(a));
+                }
+                for (const auto &a : assigns) {
+                    const int want = sortedSweepDeficit(g, m, a);
+                    EXPECT_EQ(pseudoSchedule(g, m, a, ii, scratch)
+                                  .regOverflow,
+                              want)
+                        << loop.name() << " on " << cfg;
+                    deficits += want > 0;
+                    ++checked;
+                }
+            }
+        }
+    }
+    EXPECT_GT(deficits, 0);
+    EXPECT_GT(checked, deficits);
 }
 
 TEST(Incremental, ProbePathMatchesOracleOnSharedScratch)

@@ -161,27 +161,74 @@ TEST(MachineConfig, AvailablePerKind)
 
 using ConfigDeathTest = ::testing::Test;
 
-TEST(ConfigDeathTest, RejectsMalformedNames)
+/**
+ * Expect @p make to throw InvalidMachine whose message contains
+ * @p text.
+ */
+template <typename Make>
+void
+expectInvalidMachine(const Make &make, const std::string &text)
 {
-    EXPECT_EXIT(MachineConfig::fromString("garbage"),
-                ::testing::ExitedWithCode(1), "fatal");
-    EXPECT_EXIT(MachineConfig::fromString("4c2b4l"),
-                ::testing::ExitedWithCode(1), "fatal");
-    EXPECT_EXIT(MachineConfig::fromString("4c2b4l64rx"),
-                ::testing::ExitedWithCode(1), "fatal");
+    try {
+        make();
+        ADD_FAILURE() << "no InvalidMachine; expected '" << text << "'";
+    } catch (const InvalidMachine &e) {
+        EXPECT_NE(std::string(e.what()).find(text), std::string::npos)
+            << e.what();
+    }
 }
 
-TEST(ConfigDeathTest, RejectsBadShapes)
+TEST(Config, RejectsMalformedNames)
+{
+    EXPECT_THROW(MachineConfig::fromString("garbage"), InvalidMachine);
+    expectInvalidMachine([] { MachineConfig::fromString("garbage"); },
+                         "bad machine name 'garbage'");
+    expectInvalidMachine([] { MachineConfig::fromString("4c2b4l"); },
+                         "bad machine name '4c2b4l'");
+    expectInvalidMachine([] { MachineConfig::fromString("4c2b4l64rx"); },
+                         "trailing characters in machine name");
+    expectInvalidMachine([] { MachineConfig::fromString("unifiedx"); },
+                         "bad unified machine name");
+    // A field std::stoi cannot hold is a bad name, not out_of_range.
+    expectInvalidMachine(
+        [] { MachineConfig::fromString("4c2b4l99999999999r"); },
+        "field too large");
+    // The error is an invalid_argument, like InvalidDdg.
+    EXPECT_THROW(MachineConfig::fromString("4c2b4l"),
+                 std::invalid_argument);
+}
+
+TEST(Config, RejectsBadShapes)
 {
     // 3 clusters do not divide the 12-wide machine evenly.
-    EXPECT_EXIT(MachineConfig::clustered(3, 1, 1, 63),
-                ::testing::ExitedWithCode(1), "fatal");
+    EXPECT_THROW(MachineConfig::clustered(3, 1, 1, 63), InvalidMachine);
+    expectInvalidMachine([] { MachineConfig::clustered(3, 1, 1, 63); },
+                         "does not evenly divide the 12-wide machine");
     // Registers must divide evenly.
-    EXPECT_EXIT(MachineConfig::clustered(4, 1, 1, 63),
-                ::testing::ExitedWithCode(1), "fatal");
+    expectInvalidMachine([] { MachineConfig::clustered(4, 1, 1, 63); },
+                         "registers (63) not divisible by clusters (4)");
     // A clustered machine needs buses.
-    EXPECT_EXIT(MachineConfig::clustered(4, 0, 1, 64),
-                ::testing::ExitedWithCode(1), "fatal");
+    expectInvalidMachine([] { MachineConfig::clustered(4, 0, 1, 64); },
+                         "needs >=1 bus");
+    expectInvalidMachine([] { MachineConfig::clustered(0, 1, 1, 64); },
+                         "need at least one cluster");
+    expectInvalidMachine(
+        [] { MachineConfig::custom(0, ClusterResources{1, 1, 1, 0}, 1, 1,
+                                   64); },
+        "need at least one cluster");
+    expectInvalidMachine(
+        [] { MachineConfig::custom(2, ClusterResources{1, 1, 1, 0}, 1, 1,
+                                   63); },
+        "not divisible by clusters");
+    expectInvalidMachine(
+        [] { MachineConfig::universal(0, 1, 1, 1, 64); },
+        "bad universal machine shape");
+    expectInvalidMachine(
+        [] {
+            auto m = MachineConfig::fromString("4c2b4l64r");
+            m.setLatency(OpClass::Load, 0);
+        },
+        "latency must be >= 1");
 }
 
 } // namespace

@@ -1,13 +1,16 @@
 /**
  * @file
- * Partitioner tests: assignment container, edge weighting, greedy
- * matching, coarsening hierarchy, the multilevel driver and the
- * refinement hill-climb (checked against a full-pass reference).
+ * Partitioner tests: assignment container, edge weighting (with and
+ * without the analysis memo), greedy matching, the bucket fold of
+ * parallel edges (checked against the sort-based fold it replaced),
+ * coarsening hierarchy, the multilevel driver and the refinement
+ * hill-climb (checked against a full-pass reference).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <tuple>
 
 #include "ddg/analysis.hh"
 #include "ddg/builder.hh"
@@ -133,6 +136,107 @@ TEST(Matching, Deterministic)
     const auto p2 =
         greedyMatching(4, edges, [](int, int) { return true; });
     EXPECT_EQ(p1, p2);
+}
+
+TEST(EdgeWeights, AnalysisMemoGivesTheSameWeights)
+{
+    // The pipeline hands the memo minimumIi filled (SCCs, topological
+    // order) to the weighting; the weights must not change.
+    const auto loops = buildBenchmark("su2cor");
+    const auto m = MachineConfig::fromString("4c2b4l64r");
+    for (std::size_t i = 0; i < 6 && i < loops.size(); ++i) {
+        const Ddg &g = loops[i].ddg;
+        AnalysisCache cache;
+        const int mii = minimumIi(g, m, &cache);
+        EXPECT_EQ(computeEdgeWeights(g, m, &cache),
+                  computeEdgeWeights(g, m))
+            << loops[i].name();
+        PseudoScratch a, b;
+        EXPECT_EQ(multilevelPartition(g, m, mii, &a, &cache)
+                      .partition.vec(),
+                  multilevelPartition(g, m, mii, &b).partition.vec())
+            << loops[i].name();
+    }
+}
+
+/**
+ * The sort-based fold EdgeFolder replaced, kept as its oracle: sort
+ * by (a, b), then sum runs of equal keys.
+ */
+void
+sortedFold(std::vector<MatchEdge> &edges)
+{
+    std::sort(edges.begin(), edges.end(),
+              [](const MatchEdge &x, const MatchEdge &y) {
+                  return std::tie(x.a, x.b) < std::tie(y.a, y.b);
+              });
+    std::size_t kept = 0;
+    for (const MatchEdge &e : edges) {
+        if (kept > 0 && edges[kept - 1].a == e.a &&
+            edges[kept - 1].b == e.b) {
+            edges[kept - 1].weight += e.weight;
+        } else {
+            edges[kept++] = e;
+        }
+    }
+    edges.resize(kept);
+}
+
+TEST(Matching, BucketFoldMatchesSortedFold)
+{
+    Rng rng(31337);
+    EdgeFolder folder; // one folder: its buffers carry across calls
+    int folded_pairs = 0;
+    for (int round = 0; round < 300; ++round) {
+        const int verts = static_cast<int>(rng.uniformInt(2, 40));
+        const int count = static_cast<int>(rng.uniformInt(0, 150));
+        std::vector<MatchEdge> edges;
+        for (int i = 0; i < count; ++i) {
+            if (!edges.empty() && rng.uniformInt(0, 3) == 0) {
+                // A duplicate key, weight of its own.
+                MatchEdge dup = edges[static_cast<std::size_t>(
+                    rng.uniformInt(0, static_cast<int>(edges.size()) - 1))];
+                dup.weight = rng.uniformInt(1, 1000);
+                edges.push_back(dup);
+                continue;
+            }
+            int a = static_cast<int>(rng.uniformInt(0, verts - 1));
+            int b = static_cast<int>(rng.uniformInt(0, verts - 1));
+            if (a == b)
+                continue;
+            if (a > b)
+                std::swap(a, b);
+            edges.push_back({a, b, rng.uniformInt(1, 1000)});
+        }
+        std::vector<MatchEdge> want = edges;
+        sortedFold(want);
+        std::vector<MatchEdge> got = edges;
+        folder.fold(got, verts);
+        folded_pairs += static_cast<int>(edges.size() - got.size());
+
+        // Grouped by ascending a; the same keys and sums as the sort.
+        for (std::size_t i = 1; i < got.size(); ++i)
+            EXPECT_LE(got[i - 1].a, got[i].a) << "round " << round;
+        std::vector<MatchEdge> got_sorted = got;
+        sortedFold(got_sorted);
+        ASSERT_EQ(got_sorted.size(), got.size()) << "duplicate key left";
+        ASSERT_EQ(got_sorted.size(), want.size()) << "round " << round;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got_sorted[i].a, want[i].a);
+            EXPECT_EQ(got_sorted[i].b, want[i].b);
+            EXPECT_EQ(got_sorted[i].weight, want[i].weight);
+        }
+
+        // Unique keys make the matching order total: the same visit
+        // order from either fold.
+        sortForMatching(got);
+        sortForMatching(want);
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got[i].a, want[i].a);
+            EXPECT_EQ(got[i].b, want[i].b);
+        }
+    }
+    EXPECT_GT(folded_pairs, 0);
 }
 
 TEST(Coarsen, StopsAtCapacityFrontier)

@@ -185,6 +185,7 @@ struct CounterSlice
     std::uint32_t iiAttempts;
     std::uint64_t refineProbes;
     std::uint64_t refineCommits;
+    std::uint64_t refineFullEvals;
     std::uint32_t replicationRounds;
     std::int64_t comsRemoved;
     std::uint32_t spillRetries;
@@ -192,6 +193,7 @@ struct CounterSlice
     explicit CounterSlice(const CompileTelemetry &t)
         : iiAttempts(t.iiAttempts), refineProbes(t.refineProbes),
           refineCommits(t.refineCommits),
+          refineFullEvals(t.refineFullEvals),
           replicationRounds(t.replicationRounds),
           comsRemoved(t.comsRemoved), spillRetries(t.spillRetries)
     {
@@ -202,6 +204,7 @@ struct CounterSlice
         return iiAttempts == o.iiAttempts &&
                refineProbes == o.refineProbes &&
                refineCommits == o.refineCommits &&
+               refineFullEvals == o.refineFullEvals &&
                replicationRounds == o.replicationRounds &&
                comsRemoved == o.comsRemoved &&
                spillRetries == o.spillRetries;
@@ -250,6 +253,7 @@ TEST(Telemetry, CountersReflectTheCompile)
     EXPECT_FALSE(t.cacheHit);
     EXPECT_GE(t.totalMs, 0.0);
     EXPECT_GE(t.refineProbes, t.refineCommits);
+    EXPECT_GE(t.refineProbes, t.refineFullEvals);
 }
 
 TEST(Telemetry, CacheHitCarriesOriginalCounters)
