@@ -29,6 +29,7 @@
 #include "partition/edge_weights.hh"
 #include "partition/multilevel.hh"
 #include "partition/refine.hh"
+#include "sched/comms.hh"
 #include "sched/copies.hh"
 #include "sched/mii.hh"
 #include "sched/scheduler.hh"
@@ -212,6 +213,52 @@ BM_Coarsen(benchmark::State &state)
     state.SetLabel(std::to_string(loop.ddg.numNodes()) + " nodes");
 }
 BENCHMARK(BM_Coarsen);
+
+/**
+ * The communication scan on the largest suite loop under its initial
+ * 4c2b4l64r partition: what every II attempt pays once.
+ */
+void
+BM_FindCommunications(benchmark::State &state)
+{
+    const Loop &loop = largestLoop(0);
+    const auto m = MachineConfig::fromString("4c2b4l64r");
+    const int mii = minimumIi(loop.ddg, m);
+    const auto pr = multilevelPartition(loop.ddg, m, mii);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(
+            findCommunications(loop.ddg, pr.partition.vec()).count());
+    }
+    state.SetLabel(std::to_string(loop.ddg.numNodes()) + " nodes");
+}
+BENCHMARK(BM_FindCommunications);
+
+/**
+ * Copy insertion on the largest suite loop after replication at
+ * MII + 6 on 4c2b4l64r; each iteration copies the graph (the
+ * pipeline's work copy) and inserts the copies.
+ */
+void
+BM_InsertCopies(benchmark::State &state)
+{
+    const Loop &loop = largestLoop(0);
+    const auto m = MachineConfig::fromString("4c2b4l64r");
+    const int mii = minimumIi(loop.ddg, m);
+    const auto pr = multilevelPartition(loop.ddg, m, mii);
+    Ddg replicated = loop.ddg;
+    Partition replicated_part = pr.partition;
+    reduceCommunications(replicated, replicated_part, m, mii + 6);
+    replicated.compact();
+    std::size_t copies = 0;
+    for (auto _ : state) {
+        Ddg g = replicated;
+        Partition part = replicated_part;
+        copies = insertCopies(g, part, m).copies.size();
+        benchmark::DoNotOptimize(copies);
+    }
+    state.SetLabel(std::to_string(copies) + " copies");
+}
+BENCHMARK(BM_InsertCopies);
 
 void
 BM_ReplicationPass(benchmark::State &state)

@@ -9,6 +9,7 @@
 #include <iostream>
 
 #include "core/pipeline.hh"
+#include "ddg/analysis.hh"
 #include "ddg/builder.hh"
 #include "support/table.hh"
 #include "vliw/kernel.hh"
@@ -41,10 +42,8 @@ firKernel()
     return b.take();
 }
 
-} // namespace
-
 int
-main()
+run()
 {
     const Ddg fir = firKernel();
 
@@ -99,4 +98,19 @@ main()
               << "(N-1+SC)*II cycles per visit; fewer comms means "
                  "a smaller II on the narrow-bus machine.\n";
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    // A duplicate or unknown node name while building the graph is
+    // reported, not fatal.
+    try {
+        return run();
+    } catch (const InvalidDdg &e) {
+        std::cerr << "custom_machine: " << e.what() << "\n";
+        return 1;
+    }
 }

@@ -12,14 +12,18 @@
 #include <iostream>
 
 #include "core/pipeline.hh"
+#include "ddg/analysis.hh"
 #include "ddg/builder.hh"
 #include "vliw/kernel.hh"
 #include "vliw/simulator.hh"
 
 using namespace cvliw;
 
+namespace
+{
+
 int
-main()
+run()
 {
     // A DAXPY-like loop body with a shared index chain feeding two
     // memory streams:
@@ -79,4 +83,19 @@ main()
                      100.0
               << "% speedup)\n";
     return rep.ok ? 0 : 1;
+}
+
+} // namespace
+
+int
+main()
+{
+    // A duplicate or unknown node name while building the graph is
+    // reported, not fatal.
+    try {
+        return run();
+    } catch (const InvalidDdg &e) {
+        std::cerr << "quickstart: " << e.what() << "\n";
+        return 1;
+    }
 }

@@ -15,6 +15,7 @@
 #include "core/removable.hh"
 #include "core/replicator.hh"
 #include "core/weights.hh"
+#include "ddg/analysis.hh"
 #include "ddg/builder.hh"
 #include "ddg/dot.hh"
 #include "sched/comms.hh"
@@ -87,7 +88,8 @@ printRound(const Example &ex, int ii)
                                           ii, sg, pool, removable);
         std::cout << "  S_" << ex.ddg.label(sg.com) << " = {";
         bool first = true;
-        for (const auto &[n, clusters] : sg.required) {
+        for (NodeId n : sg.members()) {
+            const Span<int> clusters = sg.clustersOf(n);
             std::cout << (first ? "" : ", ")
                       << ex.ddg.label(n) << "->{";
             for (std::size_t i = 0; i < clusters.size(); ++i)
@@ -104,10 +106,8 @@ printRound(const Example &ex, int ii)
     }
 }
 
-} // namespace
-
 int
-main()
+run()
 {
     Example ex;
     const int ii = 2;
@@ -135,4 +135,19 @@ main()
         clusters[n] = ex.part.clusterOf(n);
     writeDot(std::cout, ex.ddg, clusters);
     return 0;
+}
+
+} // namespace
+
+int
+main()
+{
+    // A duplicate or unknown node name while building the graph is
+    // reported, not fatal.
+    try {
+        return run();
+    } catch (const InvalidDdg &e) {
+        std::cerr << "replication_tracer: " << e.what() << "\n";
+        return 1;
+    }
 }

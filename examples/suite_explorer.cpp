@@ -16,6 +16,7 @@
 #include "eval/runner.hh"
 #include "support/strutil.hh"
 #include "support/table.hh"
+#include "workloads/suite.hh"
 
 using namespace cvliw;
 
@@ -44,7 +45,13 @@ main(int argc, char **argv)
         }
     }
 
-    const auto loops = buildBenchmark(bench);
+    std::vector<Loop> loops;
+    try {
+        loops = buildBenchmark(bench);
+    } catch (const UnknownBenchmark &e) {
+        std::cerr << "suite_explorer: " << e.what() << "\n";
+        return 1;
+    }
     std::cout << bench << ": " << loops.size()
               << " modulo-schedulable inner loops\n\n";
 

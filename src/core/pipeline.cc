@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
+#include <optional>
 
 #include "core/length_replication.hh"
 #include "core/spill.hh"
@@ -38,22 +39,26 @@ CompileResult::ipc(double iterations, double visits) const
 namespace
 {
 
-/** Does every (kind, cluster) fit into available * II slots? */
+/**
+ * Does every (kind, cluster) fit into available * II slots?
+ * @p usage is a buffer reused across calls.
+ */
 bool
 clusterCapacityOk(const Ddg &ddg, const MachineConfig &mach,
-                  const Partition &part, int ii)
+                  const Partition &part, int ii, std::vector<int> &usage)
 {
-    const auto usage = part.usage(ddg, mach);
+    part.usage(ddg, mach, usage);
+    const int clusters = part.numClusters();
     constexpr auto num_kinds =
         static_cast<std::size_t>(ResourceKind::NumResourceKinds);
     for (std::size_t k = 0; k < num_kinds; ++k) {
         const auto kind = static_cast<ResourceKind>(k);
         if (kind == ResourceKind::Bus)
             continue;
-        for (int c = 0; c < mach.numClusters(); ++c) {
-            if (usage[k][c] == 0)
-                continue;
-            if (usage[k][c] > mach.available(kind) * ii)
+        for (int c = 0; c < clusters; ++c) {
+            const int used = usage[k * static_cast<std::size_t>(clusters) +
+                                   static_cast<std::size_t>(c)];
+            if (used > mach.available(kind) * ii)
                 return false;
         }
     }
@@ -146,6 +151,15 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
     int reg_stagnation = 0;
     int best_worst_live = std::numeric_limits<int>::max();
 
+    // Communications of each attempt's work graph: the replication
+    // pass leaves its final CommInfo here, and the bus check and copy
+    // insertion read it instead of scanning the graph again. These
+    // buffers serve every attempt.
+    CommInfo comms;
+    std::vector<int> usage;
+    const bool length_replication =
+        opts.lengthReplication && !mach.isUnified();
+
     for (int ii = result.mii; ii <= opts.maxIi; ++ii) {
         faults::point("pipeline.ii_bump");
         deadline.checkpoint("II bump");
@@ -158,7 +172,9 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
             const PhaseClock::time_point t0 = PhaseClock::now();
             pr.partition = refinePartition(original, mach,
                                            pr.partition, ii,
-                                           &pseudo_scratch);
+                                           &pseudo_scratch,
+                                           defaultRefinePasses,
+                                           &caches.sched.analyses);
             result.telemetry.partitionMs += msSince(t0);
         }
 
@@ -178,7 +194,7 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
                 repl_ok = reduceCommunications(
                     work, part, mach, ii, &rstats, opts.mode,
                     &pr.hierarchy, &caches.subgraph,
-                    deadline.active() ? &deadline : nullptr);
+                    deadline.active() ? &deadline : nullptr, &comms);
                 result.telemetry.replicationMs += msSince(t0);
                 result.telemetry.replicationRounds +=
                     static_cast<std::uint32_t>(
@@ -186,17 +202,15 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
                 result.telemetry.comsRemoved += rstats.comsRemoved;
                 span.arg("rounds", rstats.roundsConsidered);
             } else {
-                rstats.comsInitial =
-                    findCommunications(work, part.vec()).count();
+                findCommunications(work, part.vec(), comms);
+                rstats.comsInitial = comms.count();
             }
-            const CommInfo comms =
-                findCommunications(work, part.vec());
             if (!repl_ok ||
                 extraComs(comms.count(), mach, ii) > 0) {
                 bump(FailCause::Bus);
                 continue;
             }
-            if (!clusterCapacityOk(work, mach, part, ii)) {
+            if (!clusterCapacityOk(work, mach, part, ii, usage)) {
                 bump(FailCause::Resources);
                 continue;
             }
@@ -215,12 +229,17 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
         // drop their own.
         work.compact();
 
-        // Keep the pre-copy graph: section 5.1 replication works on
-        // it after a successful schedule.
-        Ddg pre_copy = work;
-        Partition pre_copy_part = part;
+        // Keep the pre-copy graph when section 5.1 replication will
+        // work on it after a successful schedule.
+        std::optional<Ddg> pre_copy;
+        std::optional<Partition> pre_copy_part;
+        if (length_replication) {
+            pre_copy = work;
+            pre_copy_part = part;
+        }
 
-        insertCopies(work, part, mach);
+        // compact() keeps node ids, so comms still describes work.
+        insertCopies(work, part, mach, comms);
         const PhaseClock::time_point t_sched = PhaseClock::now();
         ScheduleAttempt attempt;
         {
@@ -282,8 +301,8 @@ compileImpl(const Ddg &original, const MachineConfig &mach,
         result.partition = std::move(part);
         result.repl = rstats;
 
-        if (opts.lengthReplication && !mach.isUnified()) {
-            reduceScheduleLength(result, pre_copy, pre_copy_part,
+        if (length_replication) {
+            reduceScheduleLength(result, *pre_copy, *pre_copy_part,
                                  mach, sched_opts);
         }
         // The returned graph is the long-lived one (callers keep it

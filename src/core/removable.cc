@@ -7,17 +7,29 @@
 namespace cvliw
 {
 
-std::vector<NodeId>
+void
 findRemovableInstructions(const Ddg &ddg, const Partition &part,
                           NodeId com,
-                          const std::vector<bool> &communicated)
+                          const std::vector<bool> &communicated,
+                          RemovableScratch &s, std::vector<NodeId> &out)
 {
+    out.clear();
     const int home = part.clusterOf(com);
-    std::vector<bool> removable(ddg.numNodeSlots(), false);
-    std::vector<NodeId> worklist{com};
+    const auto slots = static_cast<std::size_t>(ddg.numNodeSlots());
+    if (s.removable_.size() < slots)
+        s.removable_.resize(slots, 0);
+    if (++s.stamp_ == 0) {
+        // The stamp wrapped: forget every mark once.
+        std::fill(s.removable_.begin(), s.removable_.end(), 0);
+        s.stamp_ = 1;
+    }
+    const std::uint32_t stamp = s.stamp_;
+    std::uint32_t *removable = s.removable_.data();
+    std::vector<NodeId> &worklist = s.worklist_;
+    worklist.assign(1, com);
 
     auto try_remove = [&](NodeId v) {
-        if (removable[v])
+        if (removable[v] == stamp)
             return false;
         const DdgNode &node = ddg.node(v);
         if (node.cls == OpClass::Store || node.liveOut)
@@ -28,10 +40,12 @@ findRemovableInstructions(const Ddg &ddg, const Partition &part,
             const DdgEdge &e = ddg.edge(eid);
             if (!e.alive || e.kind != EdgeKind::RegFlow)
                 continue;
-            if (part.clusterOf(e.dst) == home && !removable[e.dst])
+            if (part.clusterOf(e.dst) == home &&
+                removable[e.dst] != stamp)
                 return false;
         }
-        removable[v] = true;
+        removable[v] = stamp;
+        out.push_back(v);
         return true;
     };
 
@@ -49,16 +63,23 @@ findRemovableInstructions(const Ddg &ddg, const Partition &part,
             const DdgEdge &e = ddg.edge(eid);
             if (!e.alive || e.kind != EdgeKind::RegFlow)
                 continue;
-            if (part.clusterOf(e.src) == home && !removable[e.src])
+            if (part.clusterOf(e.src) == home &&
+                removable[e.src] != stamp)
                 worklist.push_back(e.src);
         }
     }
+    std::sort(out.begin(), out.end());
+}
 
+std::vector<NodeId>
+findRemovableInstructions(const Ddg &ddg, const Partition &part,
+                          NodeId com,
+                          const std::vector<bool> &communicated)
+{
+    RemovableScratch scratch;
     std::vector<NodeId> out;
-    for (NodeId n = 0; n < ddg.numNodeSlots(); ++n) {
-        if (removable[n])
-            out.push_back(n);
-    }
+    findRemovableInstructions(ddg, part, com, communicated, scratch,
+                              out);
     return out;
 }
 

@@ -14,6 +14,7 @@
 #ifndef CVLIW_CORE_REMOVABLE_HH
 #define CVLIW_CORE_REMOVABLE_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "ddg/ddg.hh"
@@ -35,6 +36,35 @@ std::vector<NodeId>
 findRemovableInstructions(const Ddg &ddg, const Partition &part,
                           NodeId com,
                           const std::vector<bool> &communicated);
+
+/**
+ * Reusable buffers of findRemovableInstructions: per-node marks that
+ * carry the stamp of the call that set them (so no call clears the
+ * array) and the worklist.
+ */
+class RemovableScratch
+{
+  private:
+    friend void findRemovableInstructions(const Ddg &, const Partition &,
+                                          NodeId,
+                                          const std::vector<bool> &,
+                                          RemovableScratch &,
+                                          std::vector<NodeId> &);
+    std::vector<std::uint32_t> removable_;
+    std::uint32_t stamp_ = 0;
+    std::vector<NodeId> worklist_;
+};
+
+/**
+ * findRemovableInstructions() into @p out (cleared first), reusing
+ * @p scratch: allocation-free once the buffers have grown. Same
+ * result, in ascending order.
+ */
+void findRemovableInstructions(const Ddg &ddg, const Partition &part,
+                               NodeId com,
+                               const std::vector<bool> &communicated,
+                               RemovableScratch &scratch,
+                               std::vector<NodeId> &out);
 
 } // namespace cvliw
 

@@ -7,6 +7,17 @@
  * instructions that became dead, and recompute the remaining
  * subgraphs and weights. Exactly extra_coms communications need to
  * be removed — no over-replication is possible.
+ *
+ * A pass keeps all of its state flat in the caller's SubgraphScratch
+ * (core/subgraph.hh): the CommInfo it patches per round, the instance
+ * index (built only when a round runs), the candidate pool (one
+ * subgraph per communication in producer order, rebuilt per round
+ * only where a change can reach it), the round's share table, and
+ * the scoring and dead-code buffers. After warm-up a pass allocates
+ * only when the graph grows past sizes it has seen; a pass with no
+ * round to run scans the communications once and returns. Replicas
+ * are created in each subgraph's (node, cluster) member order, which
+ * fixes their NodeIds and so every later decision.
  */
 
 #ifndef CVLIW_CORE_REPLICATOR_HH
@@ -34,6 +45,44 @@ struct ReplicationStats
     int roundsConsidered = 0;    //!< selection rounds executed
 };
 
+/**
+ * One selection round of reduceCommunications as the pass scored it,
+ * handed to a ReplicationObserver before the chosen subgraph is
+ * applied. Every reference is valid only during the callback.
+ */
+struct ReplicationRound
+{
+    const Ddg &ddg;
+    const Partition &part;
+    const MachineConfig &mach;
+    int ii;
+    /** Communications of (ddg, part), patched round by round. */
+    const CommInfo &comms;
+    /** Candidates: one subgraph per comms.producers entry, in order. */
+    const std::vector<ReplicationSubgraph> &pool;
+    /** Per pool entry: its replicas fit their clusters (1) or not. */
+    const std::vector<char> &feasible;
+    /** Per pool entry: exact weight; meaningful where feasible. */
+    const std::vector<Rational> &weights;
+    /** Index of the chosen entry; -1 when none is feasible. */
+    int chosen;
+    /**
+     * MacroNode mode: the hierarchy whose level-1 macro-node of each
+     * producer seeds its walk; null in MinWeight mode.
+     */
+    const CoarseningHierarchy *macroSeeds;
+};
+
+/** Receives every selection round (SubgraphScratch::observer). */
+class ReplicationObserver
+{
+  public:
+    virtual void onRound(const ReplicationRound &round) = 0;
+
+  protected:
+    ~ReplicationObserver() = default;
+};
+
 /** Which subgraphs the selector may choose. */
 enum class ReplicationMode : std::uint8_t
 {
@@ -57,6 +106,10 @@ enum class ReplicationMode : std::uint8_t
  *        boundary); an expired one throws DeadlineExceeded out of
  *        the pass, leaving @p ddg / @p part mid-replication - the
  *        pipeline's work copies, discarded by the unwind
+ * @param comms_out when non-null, the pass keeps its communications
+ *        here instead of in the scratch, so on return it holds
+ *        exactly findCommunications() of the final (@p ddg, @p part)
+ *        and the caller needs no rescan (its buffers are reused)
  * @return true when extra_coms reached zero; false when no feasible
  *         replication remains (the caller must raise the II)
  */
@@ -67,7 +120,8 @@ bool reduceCommunications(Ddg &ddg, Partition &part,
                               ReplicationMode::MinWeight,
                           const CoarseningHierarchy *hier = nullptr,
                           SubgraphScratch *scratch = nullptr,
-                          CooperativeDeadline *deadline = nullptr);
+                          CooperativeDeadline *deadline = nullptr,
+                          CommInfo *comms_out = nullptr);
 
 /**
  * Replicate the value of @p producer into @p cluster without removing

@@ -13,6 +13,18 @@
  * computed in exact rational arithmetic so the paper's worked example
  * (weights 49/16, 31/16 and 40/16; after the update 44/8 and 42/8)
  * is reproduced bit-exactly.
+ *
+ * The replication pass scores every candidate of a round against one
+ * partition state, so the scoring kernels take that state flat:
+ * resource usage and a candidate's extra ops as [kind * clusters + c]
+ * arrays filled into caller buffers (the partition has the machine's
+ * cluster count), and the sharing divisor from a ShareTable built
+ * once per round (core/subgraph.hh). The weight is summed as one
+ * integer numerator per distinct denominator, combined into a
+ * Rational at the end: the same exact value, so the same normalized
+ * Rational, as adding every term on its own. The signatures that take
+ * the pool and nested usage vectors are thin wrappers for callers
+ * outside the pass.
  */
 
 #ifndef CVLIW_CORE_WEIGHTS_HH
@@ -65,6 +77,33 @@ bool replicationFeasible(const Ddg &ddg, const MachineConfig &mach,
                          const ReplicationSubgraph &sg,
                          const std::vector<std::vector<int>> *usage =
                              nullptr);
+
+/**
+ * extra_ops(res, c, S) into @p out, flat as [kind * clusters + c]:
+ * the replicas of @p sg of each resource kind added to each cluster.
+ */
+void extraOps(const Ddg &ddg, const MachineConfig &mach,
+              const ReplicationSubgraph &sg, std::vector<int> &out);
+
+/**
+ * Capacity check on flat arrays: every (kind, cluster) that receives
+ * replicas still fits available * II slots.
+ */
+bool replicationFeasible(const MachineConfig &mach, int ii,
+                         const std::vector<int> &usage,
+                         const std::vector<int> &extra);
+
+/**
+ * Weight of @p sg from flat inputs: @p share is the round's share
+ * table (its pool must contain @p sg), @p usage and @p extra come
+ * from the flat Partition::usage() and extraOps(). Allocation-free.
+ */
+Rational subgraphWeight(const Ddg &ddg, const MachineConfig &mach,
+                        int ii, const ReplicationSubgraph &sg,
+                        const ShareTable &share,
+                        const std::vector<NodeId> &removable,
+                        const std::vector<int> &usage,
+                        const std::vector<int> &extra);
 
 } // namespace cvliw
 

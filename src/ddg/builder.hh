@@ -31,6 +31,8 @@ class DdgBuilder
     /**
      * Add an operation consuming the named @p operands through
      * distance-0 flow edges.
+     * @throws InvalidDdg when @p name is taken or an operand is
+     *         unknown (see id())
      */
     NodeId op(const std::string &name, OpClass cls,
               std::initializer_list<std::string> operands = {});
@@ -46,7 +48,7 @@ class DdgBuilder
     /** Mark a named node as live-out (consumed after the loop). */
     void liveOut(const std::string &name);
 
-    /** Look up a node by name (fatal when missing). */
+    /** Look up a node by name; throws InvalidDdg when missing. */
     NodeId id(const std::string &name) const;
 
     /** Access the graph being built. */

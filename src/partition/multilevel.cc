@@ -113,8 +113,9 @@ multilevelPartition(const Ddg &ddg, const MachineConfig &mach, int ii,
         result.partition.assign(n, cluster_of_group[g]);
     }
 
-    result.partition =
-        refinePartition(ddg, mach, result.partition, ii, scratch);
+    result.partition = refinePartition(ddg, mach, result.partition, ii,
+                                       scratch, defaultRefinePasses,
+                                       analyses);
     return result;
 }
 

@@ -28,7 +28,7 @@ struct PartitionResult
  * @param scratch optional reusable refinement state (see
  *        refinePartition)
  * @param analyses optional analysis memo for the edge weighting (see
- *        computeEdgeWeights)
+ *        computeEdgeWeights) and the refinement's bind()
  */
 PartitionResult multilevelPartition(const Ddg &ddg,
                                     const MachineConfig &mach, int ii,

@@ -53,19 +53,35 @@ Partition::opCounts(const Ddg &ddg) const
 std::vector<std::vector<int>>
 Partition::usage(const Ddg &ddg, const MachineConfig &mach) const
 {
+    std::vector<int> flat;
+    usage(ddg, mach, flat);
     constexpr auto num_kinds =
         static_cast<std::size_t>(ResourceKind::NumResourceKinds);
-    std::vector<std::vector<int>> u(
-        num_kinds, std::vector<int>(numClusters_, 0));
+    std::vector<std::vector<int>> u(num_kinds);
+    for (std::size_t k = 0; k < num_kinds; ++k) {
+        const auto row = flat.begin() + static_cast<std::ptrdiff_t>(
+                                            k * numClusters_);
+        u[k].assign(row, row + numClusters_);
+    }
+    return u;
+}
+
+void
+Partition::usage(const Ddg &ddg, const MachineConfig &mach,
+                 std::vector<int> &flat) const
+{
+    constexpr auto num_kinds =
+        static_cast<std::size_t>(ResourceKind::NumResourceKinds);
+    flat.assign(num_kinds * static_cast<std::size_t>(numClusters_), 0);
     for (NodeId n : ddg.nodes()) {
         const OpClass cls = ddg.node(n).cls;
         if (cls == OpClass::Copy)
             continue;
         const auto kind =
             static_cast<std::size_t>(mach.resourceFor(cls));
-        ++u[kind][clusterOf(n)];
+        ++flat[kind * static_cast<std::size_t>(numClusters_) +
+               static_cast<std::size_t>(clusterOf(n))];
     }
-    return u;
 }
 
 } // namespace cvliw

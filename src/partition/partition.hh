@@ -62,6 +62,13 @@ class Partition
     std::vector<std::vector<int>> usage(const Ddg &ddg,
                                         const MachineConfig &mach) const;
 
+    /**
+     * The same counts into @p flat, reusing its storage, indexed
+     * [kind * numClusters() + cluster].
+     */
+    void usage(const Ddg &ddg, const MachineConfig &mach,
+               std::vector<int> &flat) const;
+
   private:
     /** Cold path of clusterOf(): panic naming @p n. */
     [[noreturn, gnu::cold, gnu::noinline]] void badNode(NodeId n) const;

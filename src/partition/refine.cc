@@ -8,7 +8,8 @@ namespace cvliw
 Partition
 refinePartition(const Ddg &ddg, const MachineConfig &mach,
                 const Partition &initial, int ii,
-                PseudoScratch *scratch, int max_passes)
+                PseudoScratch *scratch, int max_passes,
+                AnalysisCache *analyses)
 {
     if (mach.numClusters() == 1)
         return initial;
@@ -19,7 +20,7 @@ refinePartition(const Ddg &ddg, const MachineConfig &mach,
     Partition part = initial;
     // bind() seeds the incremental move-evaluation state and returns
     // the from-scratch result of the starting assignment.
-    PseudoResult best = s.bind(ddg, mach, part.vec(), ii);
+    PseudoResult best = s.bind(ddg, mach, part.vec(), ii, analyses);
 
     const auto live = ddg.nodes();
     // Visit index of the previous pass's last commit (see refine.hh).

@@ -16,6 +16,9 @@
 namespace cvliw
 {
 
+/** refinePartition's default pass bound. */
+constexpr int defaultRefinePasses = 4;
+
 /**
  * Hill-climb on single-node moves until a full pass makes no
  * improvement (bounded by @p max_passes). Each candidate move is
@@ -45,12 +48,15 @@ namespace cvliw
  *        threads one instance through every refinement so buffers
  *        and the topological-order memo survive across II bumps
  * @param max_passes pass bound
+ * @param analyses optional memo bind() takes the topological order
+ *        from (see PseudoScratch::bind); null uses the scratch's own
  * @return the refined partition (never worse than @p initial)
  */
 Partition refinePartition(const Ddg &ddg, const MachineConfig &mach,
                           const Partition &initial, int ii,
                           PseudoScratch *scratch = nullptr,
-                          int max_passes = 4);
+                          int max_passes = defaultRefinePasses,
+                          AnalysisCache *analyses = nullptr);
 
 } // namespace cvliw
 

@@ -11,16 +11,16 @@ namespace
 {
 
 /**
- * Sorted remote consumer clusters of @p n's value (cleared when the
- * node is dead, a copy or produces no value). The single source of
- * the per-node communication rule, shared by the from-scratch scan
- * and the incremental patch so they can never disagree.
+ * Append the sorted remote consumer clusters of @p n's value to
+ * @p out (nothing when the node is dead, a copy or produces no
+ * value). The single source of the per-node communication rule,
+ * shared by the from-scratch scan and the incremental patch so they
+ * can never disagree.
  */
 void
-remoteClustersOf(const Ddg &ddg, const std::vector<int> &cluster_of,
-                 NodeId n, std::vector<int> &remote)
+appendRemoteClusters(const Ddg &ddg, const std::vector<int> &cluster_of,
+                     NodeId n, std::vector<int> &out)
 {
-    remote.clear();
     const DdgNode &node = ddg.node(n);
     if (!node.alive || node.cls == OpClass::Copy ||
         !producesValue(node.cls)) {
@@ -30,6 +30,8 @@ remoteClustersOf(const Ddg &ddg, const std::vector<int> &cluster_of,
               cluster_of[n] >= 0,
               "node ", ddg.label(n), " has no cluster");
 
+    const auto first = static_cast<std::ptrdiff_t>(out.size());
+    const int home = cluster_of[n];
     for (EdgeId eid : ddg.outEdgesRaw(n)) {
         const DdgEdge &e = ddg.edge(eid);
         if (!e.alive || e.kind != EdgeKind::RegFlow)
@@ -40,90 +42,115 @@ remoteClustersOf(const Ddg &ddg, const std::vector<int> &cluster_of,
         if (ddg.node(succ).cls == OpClass::Copy)
             continue;
         const int c = cluster_of[succ];
-        if (c != cluster_of[n])
-            remote.push_back(c);
+        if (c == home)
+            continue;
+        // Keep the tail sorted and duplicate-free as it grows: it
+        // holds fewer entries than there are clusters.
+        auto it = out.begin() + first;
+        while (it != out.end() && *it < c)
+            ++it;
+        if (it == out.end() || *it != c)
+            out.insert(it, c);
     }
-    std::sort(remote.begin(), remote.end());
-    remote.erase(std::unique(remote.begin(), remote.end()),
-                 remote.end());
 }
 
 } // namespace
+
+void
+findCommunications(const Ddg &ddg, const std::vector<int> &cluster_of,
+                   CommInfo &info)
+{
+    info.producers.clear();
+    info.targetEnd_.clear();
+    info.targets_.clear();
+    info.communicated.assign(ddg.numNodeSlots(), false);
+
+    for (NodeId n : ddg.nodes()) {
+        const std::size_t before = info.targets_.size();
+        appendRemoteClusters(ddg, cluster_of, n, info.targets_);
+        if (info.targets_.size() == before)
+            continue;
+        info.communicated[n] = true;
+        info.producers.push_back(n);
+        info.targetEnd_.push_back(static_cast<int>(info.targets_.size()));
+    }
+}
 
 CommInfo
 findCommunications(const Ddg &ddg, const std::vector<int> &cluster_of)
 {
     CommInfo info;
-    info.communicated.assign(ddg.numNodeSlots(), false);
-
-    std::vector<int> remote; // reused across nodes; hot path
-    for (NodeId n : ddg.nodes()) {
-        const DdgNode &node = ddg.node(n);
-        if (node.cls == OpClass::Copy || !producesValue(node.cls))
-            continue;
-        remoteClustersOf(ddg, cluster_of, n, remote);
-        if (remote.empty())
-            continue;
-
-        info.communicated[n] = true;
-        info.producers.push_back(n);
-        info.targetClusters.push_back(remote);
-    }
+    findCommunications(ddg, cluster_of, info);
     return info;
+}
+
+void
+CommInfo::update(const Ddg &ddg, const std::vector<int> &cluster_of,
+                 std::vector<NodeId> &touched,
+                 std::vector<NodeId> &changed)
+{
+    communicated.resize(ddg.numNodeSlots(), false);
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()),
+                  touched.end());
+    changed.clear();
+
+    // One merge pass rebuilds the NodeId-ordered flat arrays into the
+    // spare buffers: untouched entries are copied over, touched ones
+    // are replaced by their recomputed remote sets (dropped when
+    // empty). Swapping the buffers at the end keeps both capacities.
+    nextProducers_.clear();
+    nextEnd_.clear();
+    nextTargets_.clear();
+    const auto close = [&](NodeId p) {
+        nextProducers_.push_back(p);
+        nextEnd_.push_back(static_cast<int>(nextTargets_.size()));
+    };
+
+    std::size_t pi = 0, ti = 0;
+    while (pi < producers.size() || ti < touched.size()) {
+        if (ti == touched.size() ||
+            (pi < producers.size() && producers[pi] < touched[ti])) {
+            const Span<int> old = targetsOf(static_cast<int>(pi));
+            nextTargets_.insert(nextTargets_.end(), old.begin(),
+                                old.end());
+            close(producers[pi]);
+            ++pi;
+            continue;
+        }
+        const NodeId t = touched[ti];
+        const std::size_t first = nextTargets_.size();
+        appendRemoteClusters(ddg, cluster_of, t, nextTargets_);
+        const bool comm_now = nextTargets_.size() != first;
+        bool differs;
+        if (pi < producers.size() && producers[pi] == t) {
+            const Span<int> now(nextTargets_.data() + first,
+                                nextTargets_.data() +
+                                    nextTargets_.size());
+            differs = !comm_now ||
+                      targetsOf(static_cast<int>(pi)) != now;
+            ++pi;
+        } else {
+            differs = comm_now;
+        }
+        if (comm_now)
+            close(t);
+        communicated[t] = comm_now;
+        if (differs)
+            changed.push_back(t);
+        ++ti;
+    }
+    producers.swap(nextProducers_);
+    targetEnd_.swap(nextEnd_);
+    targets_.swap(nextTargets_);
 }
 
 std::vector<NodeId>
 CommInfo::update(const Ddg &ddg, const std::vector<int> &cluster_of,
                  std::vector<NodeId> touched)
 {
-    communicated.resize(ddg.numNodeSlots(), false);
-    std::sort(touched.begin(), touched.end());
-    touched.erase(std::unique(touched.begin(), touched.end()),
-                  touched.end());
-
-    std::vector<std::vector<int>> fresh(touched.size());
-    for (std::size_t i = 0; i < touched.size(); ++i)
-        remoteClustersOf(ddg, cluster_of, touched[i], fresh[i]);
-
-    // One merge pass rebuilds the NodeId-ordered parallel arrays:
-    // untouched entries are moved over, touched ones are replaced by
-    // their recomputed remote sets (dropped when empty).
     std::vector<NodeId> changed;
-    std::vector<NodeId> new_producers;
-    std::vector<std::vector<int>> new_targets;
-    new_producers.reserve(producers.size() + touched.size());
-    new_targets.reserve(producers.size() + touched.size());
-
-    std::size_t pi = 0, ti = 0;
-    while (pi < producers.size() || ti < touched.size()) {
-        if (ti == touched.size() ||
-            (pi < producers.size() && producers[pi] < touched[ti])) {
-            new_producers.push_back(producers[pi]);
-            new_targets.push_back(std::move(targetClusters[pi]));
-            ++pi;
-            continue;
-        }
-        const NodeId t = touched[ti];
-        std::vector<int> &now = fresh[ti];
-        const bool comm_now = !now.empty();
-        bool differs;
-        if (pi < producers.size() && producers[pi] == t) {
-            differs = !comm_now || targetClusters[pi] != now;
-            ++pi;
-        } else {
-            differs = comm_now;
-        }
-        if (comm_now) {
-            new_producers.push_back(t);
-            new_targets.push_back(std::move(now));
-        }
-        communicated[t] = comm_now;
-        if (differs)
-            changed.push_back(t);
-        ++ti;
-    }
-    producers = std::move(new_producers);
-    targetClusters = std::move(new_targets);
+    update(ddg, cluster_of, touched, changed);
     return changed;
 }
 

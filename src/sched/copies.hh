@@ -25,6 +25,8 @@ struct CopyInsertion
     std::vector<NodeId> producerOf; //!< parallel: value producer
 };
 
+struct CommInfo;
+
 /**
  * Insert one Copy per communicated value of @p ddg under @p part, and
  * rewire all cross-cluster flow edges through it. The copy lives in
@@ -33,6 +35,17 @@ struct CopyInsertion
  */
 CopyInsertion insertCopies(Ddg &ddg, Partition &part,
                            const MachineConfig &mach);
+
+/**
+ * insertCopies() for a caller that already holds the communications:
+ * @p comms must be exactly findCommunications() of (@p ddg, @p part)
+ * - the replication pass hands its final CommInfo back for this - so
+ * the graph is not scanned again. @p comms describes the graph before
+ * the copies and is stale afterwards.
+ */
+CopyInsertion insertCopies(Ddg &ddg, Partition &part,
+                           const MachineConfig &mach,
+                           const CommInfo &comms);
 
 } // namespace cvliw
 

@@ -318,7 +318,8 @@ pseudoSchedule(const Ddg &ddg, const MachineConfig &mach,
 
 PseudoResult
 PseudoScratch::bind(const Ddg &ddg, const MachineConfig &mach,
-                    const std::vector<int> &cluster_of, int ii)
+                    const std::vector<int> &cluster_of, int ii,
+                    AnalysisCache *analyses)
 {
     mach_ = &mach;
     ii_ = ii;
@@ -342,7 +343,7 @@ PseudoScratch::bind(const Ddg &ddg, const MachineConfig &mach,
     }
 
     // Distance-0 in-edges in topological order, latencies resolved.
-    const auto &topo = cache_.topo(ddg);
+    const auto &topo = (analyses ? *analyses : cache_).topo(ddg);
     order_.assign(topo.begin(), topo.end());
     pos_.assign(slots, -1);
     inBegin_.clear();

@@ -141,9 +141,15 @@ class PseudoScratch
      * the incremental state, and return the full pseudo-schedule
      * result of that assignment, computed from them. @p ddg and
      * @p mach must stay unchanged until the next bind().
+     * @param analyses memo to take the topological order from; the
+     *        pipeline passes the compile's own, which already holds
+     *        the order of the graph it partitions. Null uses the
+     *        scratch's private memo. Either is keyed on
+     *        Ddg::generation(), so the result is the same.
      */
     PseudoResult bind(const Ddg &ddg, const MachineConfig &mach,
-                      const std::vector<int> &cluster_of, int ii);
+                      const std::vector<int> &cluster_of, int ii,
+                      AnalysisCache *analyses = nullptr);
 
     /** Current assignment (valid after bind(), kept by commitMove()). */
     const std::vector<int> &assignment() const { return assign_; }

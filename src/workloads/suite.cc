@@ -1,7 +1,5 @@
 #include "workloads/suite.hh"
 
-#include "support/logging.hh"
-
 namespace cvliw
 {
 
@@ -43,7 +41,7 @@ buildBenchmark(const std::string &benchmark, std::uint64_t seed)
             loops.push_back(generateLoop(profiles[b], rng, i));
         return loops;
     }
-    cv_fatal("unknown benchmark '", benchmark, "'");
+    throw UnknownBenchmark("unknown benchmark '" + benchmark + "'");
 }
 
 } // namespace cvliw

@@ -7,6 +7,8 @@
 #ifndef CVLIW_WORKLOADS_SUITE_HH
 #define CVLIW_WORKLOADS_SUITE_HH
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "workloads/generator.hh"
@@ -20,7 +22,21 @@ namespace cvliw
  */
 std::vector<Loop> buildSuite(std::uint64_t seed = 42);
 
-/** Build only the loops of @p benchmark (e.g. "mgrid"). */
+/**
+ * A benchmark name the suite does not have. Thrown by buildBenchmark
+ * so a caller that takes the name from its user reports it instead
+ * of the process exiting.
+ */
+class UnknownBenchmark : public std::invalid_argument
+{
+  public:
+    using std::invalid_argument::invalid_argument;
+};
+
+/**
+ * Build only the loops of @p benchmark (e.g. "mgrid").
+ * @throws UnknownBenchmark when no benchmark has that name
+ */
 std::vector<Loop> buildBenchmark(const std::string &benchmark,
                                  std::uint64_t seed = 42);
 

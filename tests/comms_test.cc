@@ -37,7 +37,7 @@ TEST(Comms, OneCommPerValueNotPerEdge)
     const auto info = findCommunications(g, part);
     EXPECT_EQ(info.count(), 1);
     EXPECT_EQ(info.producers[0], b.id("p"));
-    EXPECT_EQ(info.targetClusters[0], (std::vector<int>{1, 2}));
+    EXPECT_EQ(info.targetsOf(0).toVector(), (std::vector<int>{1, 2}));
     EXPECT_TRUE(info.communicated[b.id("p")]);
     EXPECT_FALSE(info.communicated[b.id("w1")]);
 }

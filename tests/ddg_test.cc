@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "ddg/analysis.hh"
 #include "ddg/builder.hh"
 #include "ddg/ddg.hh"
 
@@ -181,9 +184,22 @@ TEST(DdgBuilder, RejectsDuplicatesAndUnknowns)
 {
     DdgBuilder b;
     b.op("x", OpClass::Load);
-    EXPECT_EXIT(b.op("x", OpClass::Load),
-                ::testing::ExitedWithCode(1), "duplicate");
-    EXPECT_EXIT(b.id("nope"), ::testing::ExitedWithCode(1), "unknown");
+    EXPECT_THROW(b.op("x", OpClass::Load), InvalidDdg);
+    EXPECT_THROW(b.id("nope"), InvalidDdg);
+
+    // The message names the problem (and the process survives it).
+    const auto message = [](auto &&call) {
+        try {
+            call();
+        } catch (const InvalidDdg &e) {
+            return std::string(e.what());
+        }
+        return std::string();
+    };
+    EXPECT_NE(message([&] { b.op("x", OpClass::Load); }).find("duplicate"),
+              std::string::npos);
+    EXPECT_NE(message([&] { b.id("nope"); }).find("unknown"),
+              std::string::npos);
 }
 
 TEST(Ddg, InOutEdgeQueries)

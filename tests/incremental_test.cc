@@ -14,6 +14,9 @@
  *    the full path, a suffix ASAP, a rebase at commit),
  *  - the difference-array register sweep agrees with the sorted
  *    event sweep it replaced,
+ *  - bind() taking its topological order from a shared memo (holding
+ *    another graph, or read before a mutation) behaves exactly as with
+ *    the scratch's private memo,
  *  - CommInfo::update patches exactly to what a full rescan computes,
  *  - AnalysisCache / SchedulerCache never reuse results across
  *    machine configs (the generation-only-key regression).
@@ -57,7 +60,10 @@ void
 expectSameComms(const CommInfo &a, const CommInfo &b, const char *what)
 {
     EXPECT_EQ(a.producers, b.producers) << what;
-    EXPECT_EQ(a.targetClusters, b.targetClusters) << what;
+    for (int i = 0; i < std::min(a.count(), b.count()); ++i) {
+        EXPECT_EQ(a.targetsOf(i).toVector(), b.targetsOf(i).toVector())
+            << what;
+    }
     EXPECT_EQ(a.communicated, b.communicated) << what;
 }
 
@@ -543,6 +549,114 @@ TEST(Incremental, ProbePathMatchesOracleOnSharedScratch)
     }
     EXPECT_GT(stats.capacityRejects, 0);
     EXPECT_GT(stats.zeroUnitAccepted, 0);
+}
+
+/** A bind() and a seeded probe walk, every verdict and result. */
+struct BindWalk
+{
+    PseudoResult bound;
+    std::vector<bool> accepted;
+    std::vector<PseudoResult> results; //!< the accepted probes' results
+};
+
+/**
+ * Bind @p g with @p analyses as the topological-order memo (null: the
+ * scratch's private one), then probe 150 seeded random moves,
+ * committing every accepted one.
+ */
+BindWalk
+bindAndWalk(const Ddg &g, const MachineConfig &m,
+            const std::vector<int> &assign, int ii,
+            AnalysisCache *analyses, std::uint64_t seed)
+{
+    PseudoScratch inc;
+    BindWalk walk;
+    walk.bound = inc.bind(g, m, assign, ii, analyses);
+    PseudoResult best = walk.bound;
+    Rng rng(seed);
+    const auto nodes = g.nodes().toVector();
+    for (int step = 0; step < 150; ++step) {
+        const NodeId n = nodes[static_cast<std::size_t>(
+            rng.uniformInt(0, static_cast<int>(nodes.size()) - 1))];
+        const int c =
+            static_cast<int>(rng.uniformInt(0, m.numClusters() - 1));
+        if (c == inc.assignment()[n])
+            continue;
+        PseudoResult out;
+        const bool ok = inc.probeMove(n, c, best, out);
+        walk.accepted.push_back(ok);
+        if (ok) {
+            inc.commitMove(n, c);
+            best = out;
+            walk.results.push_back(out);
+        }
+    }
+    return walk;
+}
+
+void
+expectSameWalk(const BindWalk &a, const BindWalk &b, const char *what)
+{
+    expectSameResult(a.bound, b.bound, what);
+    EXPECT_EQ(a.accepted, b.accepted) << what;
+    ASSERT_EQ(a.results.size(), b.results.size()) << what;
+    for (std::size_t i = 0; i < a.results.size(); ++i)
+        expectSameResult(a.results[i], b.results[i], what);
+}
+
+TEST(Incremental, BindWithSharedMemoMatchesPrivateMemo)
+{
+    // The pipeline hands bind() the compile's AnalysisCache. Whatever
+    // that memo holds - another graph's order, or this graph's order
+    // from before a mutation - bind, probeMove and commitMove must
+    // behave exactly as with the scratch's private memo.
+    const auto &profiles = specFp95Profiles();
+    const auto m = MachineConfig::fromString("4c2b2l64r");
+    Rng rng(4242);
+    std::size_t accepted = 0;
+    for (std::size_t pi = 0; pi < profiles.size(); pi += 3) {
+        const Loop other = generateLoop(profiles[pi], rng, 0);
+        Loop loop = generateLoop(profiles[pi], rng, 1);
+        const int ii = minimumIi(loop.ddg, m);
+        std::vector<int> assign(loop.ddg.numNodeSlots(), 0);
+        for (NodeId n : loop.ddg.nodes()) {
+            assign[n] = static_cast<int>(
+                rng.uniformInt(0, m.numClusters() - 1));
+        }
+
+        // The memo holds another graph.
+        AnalysisCache memo;
+        memo.topo(other.ddg);
+        const BindWalk shared =
+            bindAndWalk(loop.ddg, m, assign, ii, &memo, pi);
+        expectSameWalk(shared,
+                       bindAndWalk(loop.ddg, m, assign, ii, nullptr, pi),
+                       "memo of another graph");
+        EXPECT_EQ(memo.topo(loop.ddg), topoOrder(loop.ddg));
+        accepted += shared.results.size();
+
+        // The memo was read before the graph changed: a new value
+        // producer feeding the first store moves the order.
+        Ddg &g = loop.ddg;
+        memo.topo(g);
+        NodeId store = invalidNode;
+        for (NodeId n : g.nodes()) {
+            if (g.node(n).cls == OpClass::Store) {
+                store = n;
+                break;
+            }
+        }
+        ASSERT_NE(store, invalidNode);
+        const NodeId extra = g.addNode(OpClass::IntAlu, "extra");
+        g.addEdge(extra, store, EdgeKind::RegFlow, 0);
+        assign.resize(g.numNodeSlots(), 0);
+        assign[extra] = 1;
+        expectSameWalk(bindAndWalk(g, m, assign, ii, &memo, pi + 1),
+                       bindAndWalk(g, m, assign, ii, nullptr, pi + 1),
+                       "memo read before a mutation");
+        EXPECT_EQ(memo.topo(g), topoOrder(g));
+    }
+    EXPECT_GT(accepted, 0u);
 }
 
 TEST(Incremental, CommInfoUpdateMatchesRescanOnRandomMoves)

@@ -76,7 +76,7 @@ TEST(PaperExample, FullReplicationRound)
         const auto info = findCommunications(ex.ddg, ex.part.vec());
         for (int i = 0; i < info.count(); ++i) {
             if (info.producers[i] == ex.id("D"))
-                return info.targetClusters[i];
+                return info.targetsOf(i).toVector();
         }
         return std::vector<int>{};
     }();
@@ -97,9 +97,9 @@ TEST(PaperExample, UpdatedSubgraphsAfterSE)
     const auto sd = findReplicationSubgraph(
         ex.ddg, ex.part, ex.id("D"), comms.communicated, index);
     EXPECT_EQ(sd.targetClusters, (std::vector<int>{1, 3}));
-    EXPECT_EQ(sd.required.size(), 3u);
+    EXPECT_EQ(sd.numMembers(), 3);
     for (const char *n : {"D", "B", "C"}) {
-        EXPECT_EQ(sd.required.at(ex.id(n)),
+        EXPECT_EQ(sd.clustersOf(ex.id(n)).toVector(),
                   (std::vector<int>{1, 3}))
             << n;
     }
@@ -114,21 +114,23 @@ TEST(PaperExample, UpdatedSubgraphsAfterSE)
     const auto sj = findReplicationSubgraph(
         ex.ddg, ex.part, ex.id("J"), comms.communicated, index);
     EXPECT_EQ(sj.targetClusters, (std::vector<int>{0, 3}));
-    EXPECT_EQ(sj.required.size(), 4u);
-    EXPECT_EQ(sj.required.at(ex.id("J")), (std::vector<int>{0, 3}));
-    EXPECT_EQ(sj.required.at(ex.id("I")), (std::vector<int>{0, 3}));
+    EXPECT_EQ(sj.numMembers(), 4);
+    EXPECT_EQ(sj.clustersOf(ex.id("J")).toVector(),
+              (std::vector<int>{0, 3}));
+    EXPECT_EQ(sj.clustersOf(ex.id("I")).toVector(),
+              (std::vector<int>{0, 3}));
     // E's original is dead; the member is one of its instances with
     // the same semantic id.
     NodeId e_member = invalidNode, a_member = invalidNode;
-    for (const auto &[n, clusters] : sj.required) {
+    for (NodeId n : sj.members()) {
         if (ex.ddg.node(n).semanticId == ex.id("E"))
             e_member = n;
         if (ex.ddg.node(n).semanticId == ex.id("A") &&
-            clusters == std::vector<int>{0})
+            sj.clustersOf(n).toVector() == std::vector<int>{0})
             a_member = n;
     }
     ASSERT_NE(e_member, invalidNode);
-    EXPECT_EQ(sj.required.at(e_member), std::vector<int>{0});
+    EXPECT_EQ(sj.clustersOf(e_member).toVector(), std::vector<int>{0});
     ASSERT_NE(a_member, invalidNode);
 
     // --- updated weights (Figure 6): 44/8 and 42/8 ---------------------

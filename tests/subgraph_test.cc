@@ -26,10 +26,11 @@ TEST(Subgraph, PaperSD)
 
     // S_D = {D, B, C, A}, all into cluster 4 (our cluster 3).
     EXPECT_EQ(sd.targetClusters, std::vector<int>{3});
-    EXPECT_EQ(sd.required.size(), 4u);
+    EXPECT_EQ(sd.numMembers(), 4);
     for (const char *n : {"D", "B", "C", "A"}) {
         EXPECT_TRUE(sd.contains(ex.id(n))) << n;
-        EXPECT_EQ(sd.required.at(ex.id(n)), std::vector<int>{3});
+        EXPECT_EQ(sd.clustersOf(ex.id(n)).toVector(),
+                  std::vector<int>{3});
     }
     EXPECT_FALSE(sd.contains(ex.id("E")));
     EXPECT_EQ(sd.totalNewInstances(), 4);
@@ -46,9 +47,11 @@ TEST(Subgraph, PaperSEStopsAtCommunicatedD)
     // S_E = {E, A}: D is not included because its value is already
     // communicated (available in the other clusters).
     EXPECT_EQ(se.targetClusters, (std::vector<int>{1, 3}));
-    EXPECT_EQ(se.required.size(), 2u);
-    EXPECT_EQ(se.required.at(ex.id("E")), (std::vector<int>{1, 3}));
-    EXPECT_EQ(se.required.at(ex.id("A")), (std::vector<int>{1, 3}));
+    EXPECT_EQ(se.numMembers(), 2);
+    EXPECT_EQ(se.clustersOf(ex.id("E")).toVector(),
+              (std::vector<int>{1, 3}));
+    EXPECT_EQ(se.clustersOf(ex.id("A")).toVector(),
+              (std::vector<int>{1, 3}));
     EXPECT_FALSE(se.contains(ex.id("D")));
     EXPECT_EQ(se.totalNewInstances(), 4);
 }
@@ -64,9 +67,11 @@ TEST(Subgraph, PaperSJ)
     // S_J = {J, I} into clusters 1 and 4 (ours 0 and 3); E is
     // communicated and therefore excluded.
     EXPECT_EQ(sj.targetClusters, (std::vector<int>{0, 3}));
-    EXPECT_EQ(sj.required.size(), 2u);
-    EXPECT_EQ(sj.required.at(ex.id("J")), (std::vector<int>{0, 3}));
-    EXPECT_EQ(sj.required.at(ex.id("I")), (std::vector<int>{0, 3}));
+    EXPECT_EQ(sj.numMembers(), 2);
+    EXPECT_EQ(sj.clustersOf(ex.id("J")).toVector(),
+              (std::vector<int>{0, 3}));
+    EXPECT_EQ(sj.clustersOf(ex.id("I")).toVector(),
+              (std::vector<int>{0, 3}));
     EXPECT_EQ(sj.totalNewInstances(), 4);
 }
 
@@ -86,7 +91,7 @@ TEST(Subgraph, ExistingInstancesNotRequired)
     const auto sd = findReplicationSubgraph(
         ex.ddg, ex.part, ex.id("D"), comms.communicated, index);
     // A no longer needs replication: S_D = {D, B, C}.
-    EXPECT_EQ(sd.required.size(), 3u);
+    EXPECT_EQ(sd.numMembers(), 3);
     EXPECT_FALSE(sd.contains(ex.id("A")));
 }
 
@@ -99,7 +104,8 @@ TEST(Subgraph, TargetOverrideRestrictsClusters)
         ex.ddg, ex.part, ex.id("E"), comms.communicated, index, {},
         {1});
     EXPECT_EQ(se.targetClusters, std::vector<int>{1});
-    EXPECT_EQ(se.required.at(ex.id("E")), std::vector<int>{1});
+    EXPECT_EQ(se.clustersOf(ex.id("E")).toVector(),
+              std::vector<int>{1});
     EXPECT_EQ(se.totalNewInstances(), 2);
 }
 
@@ -167,7 +173,7 @@ TEST(Subgraph, MemoryParentsNotPulledIn)
     const auto s = findReplicationSubgraph(
         g, p, b.id("ld"), comms.communicated, index);
     // The store is NOT replicated; the load alone suffices.
-    EXPECT_EQ(s.required.size(), 1u);
+    EXPECT_EQ(s.numMembers(), 1);
     EXPECT_TRUE(s.contains(b.id("ld")));
 }
 

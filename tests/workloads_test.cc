@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
 #include "ddg/analysis.hh"
 #include "workloads/suite.hh"
@@ -34,6 +35,19 @@ TEST(Profiles, BenchmarkNames)
     ASSERT_EQ(profiles.size(), 10u);
     for (std::size_t i = 0; i < profiles.size(); ++i)
         EXPECT_EQ(profiles[i].name, expected[i]);
+}
+
+TEST(Suite, UnknownBenchmarkThrowsTypedError)
+{
+    // A bad name is an input error the caller reports, not an exit.
+    try {
+        buildBenchmark("nosuchbench");
+        ADD_FAILURE() << "no exception";
+    } catch (const UnknownBenchmark &e) {
+        EXPECT_NE(std::string(e.what()).find("nosuchbench"),
+                  std::string::npos);
+    }
+    EXPECT_THROW(buildBenchmark(""), std::invalid_argument);
 }
 
 TEST(Suite, Deterministic)
